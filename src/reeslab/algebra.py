@@ -6,7 +6,15 @@ truncation level l and are stored in the canonical monomial basis, indexed by
 v^alpha * w^ceil(alpha*ubar) * x^n with w = 1 - x + v*x.  A second family,
 z(alpha, n) = v^alpha * w^ceil((alpha-n)*ubar) * (x + x^2 + ...)^n, spans the
 other affine chart; its expansion is unitriangular against the x-basis
-(leading term at (alpha, n), tail strictly above level n).
+(leading term at (alpha, n), tail strictly above level n).  Consecutive
+z-expansions in one column satisfy
+
+    z(alpha, k+1) = z(alpha, k) * w^d_k * x/(1-x),
+    d_k = ceil((alpha-k-1)*ubar) - ceil((alpha-k)*ubar) in {0, 1},
+
+so each context keeps, per (alpha mod u, l), a cursor at the highest level
+expanded so far; a higher level is reached by stepping from the cursor, and
+a level at or below it is expanded from scratch.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}; the
@@ -14,8 +22,9 @@ concrete Laurent-polynomial model (coefficients of v^alpha x^n) backs the
 change of basis and serves as an independent multiplication oracle in tests.
 
 Elements are immutable values by convention; all operations are pure.
-Context caches are append-only dicts, safe for concurrent readers under the
-GIL once a working window has been touched.
+Context caches are append-only dicts and a cursor only ever names a cached
+expansion, so they stay safe for concurrent readers under the GIL once a
+working window has been touched.
 """
 
 from __future__ import annotations
@@ -23,7 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContextError, ContextMismatch, LevelError, NotAUnit, NotInF
+from .errors import (
+    ContextError,
+    ContextMismatch,
+    InconsistencyError,
+    LevelError,
+    NotAUnit,
+    NotInF,
+)
 from .fields import FieldSpec, coeff_str
 from .geometry import ConeTables, pa_member, pb_member
 
@@ -41,6 +57,7 @@ class AlgebraContext:
         self.field = field
         self._wpow_cache: dict = {}
         self._z_cache: dict = {}
+        self._z_cursor: dict = {}    # (alpha0, l) -> highest n in _z_cache
         self._laurent_w_cache: dict = {}
         self._series_cache: dict = {}
 
@@ -447,7 +464,8 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
     wexp = -ctx.u2 * m
     if wexp >= 0:
         rows, shift = _w_power_rows(ctx, l, 0, wexp)
-        assert shift == 0
+        if shift:
+            raise InconsistencyError(f"w-power of x(0, 0) shifted by {shift}")
         base = AlgebraElement(ctx, l, _copy_rows(rows))
     else:
         base = element_power(invert_unit(w_element(ctx, l)), -wexp)
@@ -460,29 +478,74 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
 # The second basis
 
 
+def _z_full_rows(ctx: AlgebraContext, l: int, alpha0: int, n: int) -> Rows:
+    """Rows of z(alpha0, n) = x(alpha0, 0) * w^delta * x^n * (1-x)^-n."""
+    delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
+    if delta < 0:
+        raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
+    wrows, shift0 = _w_power_rows(ctx, l, alpha0, delta)
+    if shift0:
+        raise InconsistencyError(f"w-power of x({alpha0}, 0) shifted by {shift0}")
+    p = ctx.field.characteristic
+    shifted: Rows = {}
+    for m, row in wrows.items():
+        if m + n >= l:
+            continue
+        for a, c in row.items():
+            _radd(shifted, m + n, a, c, p)
+    return _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, p)
+
+
+def _z_step_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int, rows: Rows) -> Rows:
+    """Rows of z(alpha0, k+1) from the rows of z(alpha0, k): at most one
+    product with w, a one-level shift (x), then a running sum down each
+    column (1/(1-x)).  The input rows are not modified."""
+    if ctx.ceil_slope(alpha0 - k - 1) != ctx.ceil_slope(alpha0 - k):
+        rows = _times_w_rows(ctx, l, rows)
+    p = ctx.field.characteristic
+    out: Rows = {}
+    acc: dict = {}
+    for n in range(k + 1, l):
+        row = rows.get(n - 1)
+        if row:
+            for a, c in row.items():
+                v = acc.get(a, 0) + c
+                acc[a] = v % p if p else v
+        level = {a: c for a, c in acc.items() if c}
+        if level:
+            out[n] = level
+    return out
+
+
 def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows, int]:
     """Cached expansion rows of z(alpha0, n) with alpha0 = alpha mod u, and
-    the column shift to apply."""
+    the column shift to apply.
+
+    On a cache miss the rows are stepped up from the cursor of (alpha0, l),
+    the highest level already expanded, through
+    z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); with no cursor, or the
+    cursor at or above n, they are built from scratch.  Each call that
+    builds adds exactly one cache entry (the intermediate levels of a step
+    are not cached), and every expansion is checked for leading coefficient
+    1 at (alpha0, n) and a tail strictly above level n.
+    """
     alpha0 = alpha % ctx.u
     key = (alpha0, n, l)
     rows = ctx._z_cache.get(key)
     if rows is None:
-        delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
-        assert delta >= 0
-        wrows, shift0 = _w_power_rows(ctx, l, alpha0, delta)
-        assert shift0 == 0
-        p = ctx.field.characteristic
-        shifted: Rows = {}
-        for m, row in wrows.items():
-            if m + n >= l:
-                continue
-            for a, c in row.items():
-                _radd(shifted, m + n, a, c, p)
-        rows = _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, p)
-        assert rows.get(n, {}).get(alpha0) == ctx.field.of_int(1)
-        tail_min = min((m for m in rows if m != n), default=None)
-        assert tail_min is None or tail_min > n
+        cursor = ctx._z_cursor.get((alpha0, l), -1)
+        if 0 <= cursor < n:
+            rows = ctx._z_cache[(alpha0, cursor, l)]
+            for k in range(cursor, n):
+                rows = _z_step_rows(ctx, l, alpha0, k, rows)
+        else:
+            rows = _z_full_rows(ctx, l, alpha0, n)
+        if rows.get(n, {}).get(alpha0) != 1:
+            raise InconsistencyError(f"z({alpha0}, {n}) lacks leading coefficient 1")
+        if min(rows) != n:
+            raise InconsistencyError(f"z({alpha0}, {n}) has a tail below level {n}")
         ctx._z_cache[key] = rows
+        ctx._z_cursor[(alpha0, l)] = max(cursor, n)
     return rows, alpha - alpha0
 
 
@@ -687,7 +750,8 @@ def subspace_decompose(
             else:
                 gaps[(alpha, n)] = c
                 _radd(residual, n, alpha, -c, p)
-    assert not residual
+    if residual:
+        raise NotInF(f"decomposition left a residual at levels {sorted(residual)}")
     return DecompositionCertificate(
         ctx=ctx, level=l, m=m, overlap_policy=policy,
         a_part=a_part, b_part=b_part, gap_residual=gaps,

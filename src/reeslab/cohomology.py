@@ -217,7 +217,9 @@ def d_set(
     q = p**r
     rep = cohomology_dims(ctx, ct, pd, pd.sigma * j * q, pd.sigma * (j + 1) * q,
                           policy=policy, slack=slack)
-    assert len(rep.matrix.overlaps) == q
+    if len(rep.matrix.overlaps) != q:
+        raise InconsistencyError(
+            f"window [{rep.m}, {rep.l}) has {len(rep.matrix.overlaps)} overlaps, expected {q}")
     count = rep.matrix.rank
     return DSetReport(
         p=p, r=r, j=j,
@@ -294,7 +296,8 @@ def factorization_search(
 
     def descend(u_a, u_b, rho, n):
         if n >= l:
-            assert rho == one(ctx, l)
+            if rho != one(ctx, l):
+                raise InconsistencyError(f"residual unit at level {l} is not 1")
             return u_a, u_b
         row = rho.level_component(n)
         fa_terms: dict[int, object] = {}

@@ -27,7 +27,7 @@ from .cohomology import (
     factorization_search,
     per_level_chi,
 )
-from .errors import InconsistencyError, RangeError, ReesLabError
+from .errors import InconsistencyError, RangeError, ReesLabError, TheoremViolation
 from .fields import FieldSpec
 from .geometry import (
     NormalizedTriangle,
@@ -58,6 +58,18 @@ class SearchBounds:
     branch_budget: int = DEFAULT_BRANCH_BUDGET
     slack: Optional[int] = None
     policy: str = "A"
+
+    def __post_init__(self):
+        if self.r_max < 0:
+            raise RangeError(f"r_max must be >= 0, got {self.r_max}")
+        if self.m_max < 1:
+            raise RangeError(f"m_max must be >= 1, got {self.m_max}")
+        if self.branch_budget < 1:
+            raise RangeError(f"branch_budget must be >= 1, got {self.branch_budget}")
+        if self.j_max is not None and self.j_max < 1:
+            raise RangeError(f"j_max must be >= 1, got {self.j_max}")
+        if self.policy not in ("A", "B"):
+            raise RangeError(f"policy must be 'A' or 'B', got {self.policy!r}")
 
     def resolve_j_max(self, p: int) -> int:
         if self.j_max is not None:
@@ -127,7 +139,8 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
     if p == 0:
         emu = emu_check(tri)
         b2 = char0_b2_check(tri, branch_budget=bounds.branch_budget)
-        assert b2 == emu.holds  # char0_b2_check raises otherwise
+        if b2 != emu.holds:  # char0_b2_check raises first
+            raise TheoremViolation("unit factorization disagrees with the column counts")
         return Verdict(
             status=FG_EXACT if emu.holds else NOT_FG_EXACT,
             witness=None,

@@ -55,10 +55,6 @@ class FieldSpec:
             raise ZeroDivisionError(f"denominator {den} vanishes mod {p}")
         return (num * pow(den, -1, p)) % p
 
-    def add(self, a, b):
-        p = self.characteristic
-        return (a + b) % p if p else a + b
-
     def sub(self, a, b):
         p = self.characteristic
         return (a - b) % p if p else a - b
@@ -66,10 +62,6 @@ class FieldSpec:
     def mul(self, a, b):
         p = self.characteristic
         return (a * b) % p if p else a * b
-
-    def neg(self, a):
-        p = self.characteristic
-        return (-a) % p if p else -a
 
     def inv(self, a):
         p = self.characteristic

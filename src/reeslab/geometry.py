@@ -185,7 +185,9 @@ def period_data(tri: NormalizedTriangle) -> PeriodData:
         sigma = math.lcm(sigma, x.denominator, y.denominator)
     theta = -tri.x2 * sigma
     theta_prime = tri.x1 * sigma
-    assert theta.denominator == 1 and theta_prime.denominator == 1
+    if theta.denominator != 1 or theta_prime.denominator != 1:
+        raise DegenerateError(
+            f"theta={theta} or theta'={theta_prime} is not an integer at sigma={sigma}")
     theta, theta_prime = int(theta), int(theta_prime)
     if tri.width == 1:
         # Both facts below are specific to width 1; see PeriodData docstring.
@@ -301,8 +303,9 @@ class ConeTables:
     analogue for the cone spanned by (-u, u2) and (-t3, t), defined for
     i <= 0 and set to 0 for i > 0.
 
-    Threshold queries are memoized; tables may be shared between readers once
-    populated (precompute a window first when sharing across threads).
+    Membership is decided in integers: the slopes are kept as numerator and
+    denominator, and both floors and the ceiling are integer floor divisions,
+    so no Fraction is built per query.  Threshold queries are memoized.
     """
 
     def __init__(self, sbar: Optional[Fraction], tbar: Optional[Fraction], ubar: Fraction):
@@ -315,6 +318,12 @@ class ConeTables:
         self.sbar = sbar
         self.tbar = tbar
         self.ubar = ubar
+        # -ceil(i*ubar) = floor(i*u2/u) with ubar = -u2/u.
+        self._u2, self._u = -ubar.numerator, ubar.denominator
+        if sbar is not None:
+            self._s_num, self._s_den = sbar.numerator, sbar.denominator
+        if tbar is not None:
+            self._t_num, self._t_den = tbar.numerator, tbar.denominator
         self._pa_cache: dict[int, int] = {}
         self._pb_cache: dict[int, int] = {}
 
@@ -323,14 +332,14 @@ class ConeTables:
             raise ValueError(f"a(i) requires i >= 0, got {i}")
         if self.sbar is None:
             return INF
-        return math.floor(i * self.sbar) - math.ceil(i * self.ubar) + 1
+        return (i * self._s_num) // self._s_den + (i * self._u2) // self._u + 1
 
     def b(self, i: int):
         if i > 0:
             return 0
         if self.tbar is None:
             return INF
-        return math.floor(i * self.tbar) - math.ceil(i * self.ubar) + 1
+        return (i * self._t_num) // self._t_den + (i * self._u2) // self._u + 1
 
     def min_pa_col(self, n: int) -> int:
         """Smallest column alpha >= 0 with a(alpha) >= n+1."""
@@ -380,11 +389,6 @@ class ConeTables:
 
     def max_pb_col(self, n: int) -> int:
         return n + self.max_pb_i(n)
-
-    def precompute(self, max_level: int) -> None:
-        for n in range(max_level + 1):
-            self.min_pa_col(n)
-            self.max_pb_i(n)
 
 
 def cone_tables(tri: NormalizedTriangle) -> ConeTables:

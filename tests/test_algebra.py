@@ -304,6 +304,33 @@ def test_z_integer_coefficients_over_q():
                 assert F(c).denominator == 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    slope=st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 5)]),
+    char=st.sampled_from([0, 2, 3, 5, 7]),
+    l=st.integers(min_value=1, max_value=24),
+    order=st.sampled_from(["ascending", "descending", "shuffled"]),
+    data=st.data(),
+)
+def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
+    # One shared context steps later requests up from its cursors; a fresh
+    # context asked for a single (alpha, n) always builds from scratch.
+    u2, u = slope
+    field = FieldSpec(char)
+    requests = data.draw(st.lists(
+        st.tuples(st.integers(min_value=-8, max_value=8),
+                  st.integers(min_value=0, max_value=l - 1)),
+        min_size=1, max_size=12))
+    if order == "shuffled":
+        requests = data.draw(st.permutations(requests))
+    else:
+        requests.sort(key=lambda an: an[1], reverse=order == "descending")
+    shared = AlgebraContext(u2, u, field)
+    for alpha, n in requests:
+        got = z_element(shared, l, alpha, n)
+        assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
+
+
 def test_modular_reduction_matches_rationals():
     # Mod-p results equal the reduction of the rational computation when no
     # denominator is divisible by p (denominators here are 1 throughout).

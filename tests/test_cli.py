@@ -1,9 +1,12 @@
 """Command-line interface tests."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
+import reeslab
 from reeslab.cli import canonical_json, main
 
 WORKED_FILE = """\
@@ -73,6 +76,25 @@ def test_analyze_malformed_triangle(tmp_path, capsys):
 def test_bad_flags_exit_code():
     assert main(["analyze", "--char", "0"]) == 1    # missing --input
     assert main(["frobnicate"]) == 1
+
+
+def test_invalid_search_bounds_exit_code(worked_file, capsys):
+    assert main(["analyze", "--input", worked_file, "--char", "3",
+                 "--rmax", "-1"]) == 1
+    assert "r_max" in capsys.readouterr().err
+
+
+def test_package_has_no_assert_statements():
+    # Invariants must hold under python -O, which strips assert statements;
+    # a violated invariant raises an InternalError subclass (exit code 2).
+    package = pathlib.Path(reeslab.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
 
 
 def test_nonprime_characteristic(worked_file):

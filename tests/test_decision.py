@@ -150,6 +150,14 @@ def test_search_bounds_jmax_defaults():
     assert SearchBounds(j_max=9).resolve_j_max(5) == 9
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"r_max": -1}, {"m_max": 0}, {"branch_budget": 0}, {"j_max": 0}, {"policy": "C"},
+])
+def test_search_bounds_rejects_out_of_range(kwargs):
+    with pytest.raises(RangeError):
+        SearchBounds(**kwargs)
+
+
 def test_factorize_integer():
     assert factorize_integer(1) == {}
     assert factorize_integer(101757) == {3: 1, 107: 1, 317: 1}

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reeslab.errors import ClaimViolation, ShapeError, SlopeError, TriangleFileError, WidthError
@@ -350,6 +350,45 @@ def test_cone_periodicity_random_width_one(tri):
     if tri.tbar is not None:
         for i in range(0, 5 * max(pd.theta_prime, 1)):
             assert ct.b(-i - pd.theta_prime) == ct.b(-i) + pd.sigma
+
+
+@st.composite
+def normalized_triangles(draw):
+    """Any width in (0, 1], with x2 = 0 or x1 = 0 (a vertical edge) often."""
+    u = draw(st.integers(min_value=1, max_value=7))
+    u2 = draw(st.integers(min_value=0, max_value=u))
+    if math.gcd(u2, u) != 1:
+        u, u2 = 1, 0
+    ubar = F(-u2, u)
+    x2 = -draw(st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=1,
+                                                        max_denominator=12)))
+    x1 = draw(st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=1 + x2,
+                                                       max_denominator=12)))
+    assume(x1 > x2)
+    return normalize_triangle([(x2, ubar * x2), (x1, ubar * x1), (0, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized_triangles())
+def test_cone_tables_match_fraction_formula(tri):
+    # The Fraction formula of the ConeTables docstring is the oracle for the
+    # integer floor divisions.
+    ct = cone_tables(tri)
+    for i in range(-300, 301):
+        if i < 0:
+            with pytest.raises(ValueError):
+                ct.a(i)
+        else:
+            want = INF if tri.sbar is None else \
+                math.floor(i * tri.sbar) - math.ceil(i * tri.ubar) + 1
+            assert ct.a(i) == want
+        if i > 0:
+            want = 0
+        elif tri.tbar is None:
+            want = INF
+        else:
+            want = math.floor(i * tri.tbar) - math.ceil(i * tri.ubar) + 1
+        assert ct.b(i) == want
 
 
 @settings(max_examples=40, deadline=None)
