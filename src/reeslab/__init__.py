@@ -51,7 +51,6 @@ from .geometry import (
     cone_tables,
     delta_prime,
     emu_check,
-    enumerate_polygon_points,
     normalize_triangle,
     overlaps_and_gaps,
     pa_member,

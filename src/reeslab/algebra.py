@@ -12,9 +12,9 @@ z-expansions in one column satisfy
     z(alpha, k+1) = z(alpha, k) * w^d_k * x/(1-x),
     d_k = ceil((alpha-k-1)*ubar) - ceil((alpha-k)*ubar) in {0, 1},
 
-so each context keeps, per (alpha mod u, l), a cursor at the highest level
-expanded so far; a higher level is reached by stepping from the cursor, and
-a level at or below it is expanded from scratch.
+so each context keeps, per (alpha mod u, l), the sorted list of levels
+expanded so far; a new level is stepped up from the nearest cached level
+below it, and expanded from scratch only when there is none.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}; the
@@ -22,13 +22,14 @@ concrete Laurent-polynomial model (coefficients of v^alpha x^n) backs the
 change of basis and serves as an independent multiplication oracle in tests.
 
 Elements are immutable values by convention; all operations are pure.
-Context caches are append-only dicts and a cursor only ever names a cached
-expansion, so they stay safe for concurrent readers under the GIL once a
-working window has been touched.
+Context caches are append-only dicts and a level list only ever names
+cached expansions, so they stay safe for concurrent readers under the GIL
+once a working window has been touched.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -57,7 +58,7 @@ class AlgebraContext:
         self.field = field
         self._wpow_cache: dict = {}
         self._z_cache: dict = {}
-        self._z_cursor: dict = {}    # (alpha0, l) -> highest n in _z_cache
+        self._z_levels: dict = {}    # (alpha0, l) -> sorted n in _z_cache
         self._laurent_w_cache: dict = {}
         self._series_cache: dict = {}
 
@@ -392,7 +393,14 @@ def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
 def _w_power_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> tuple[Rows, int]:
     """Cached rows of x(alpha0, 0) * w^k with alpha0 = alpha mod u, plus the
     column shift alpha - alpha0.  Shifting by multiples of u is exact because
-    x(u*j, 0) multiplies through with defect 0."""
+    x(u*j, 0) multiplies through with defect 0.
+
+    Slope -1/2 takes the closed form of _lemma_w_rows; the generic loop of
+    w-products serves every other slope.  The benchmark keeps both routes,
+    and keeps seeding z from these rows: one pass over the search-p op list
+    (seed 1, CPython 3.11, 2-core Xeon) took 30-36 s under cProfile with
+    the generic loop for every slope against 7-8 s, and 20 s unprofiled
+    when z was only ever stepped up from level 0 against 2.3 s."""
     if k < 0:
         raise ValueError("w power must be nonnegative here")
     alpha0 = alpha % ctx.u
@@ -521,22 +529,24 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows,
     """Cached expansion rows of z(alpha0, n) with alpha0 = alpha mod u, and
     the column shift to apply.
 
-    On a cache miss the rows are stepped up from the cursor of (alpha0, l),
-    the highest level already expanded, through
-    z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); with no cursor, or the
-    cursor at or above n, they are built from scratch.  Each call that
-    builds adds exactly one cache entry (the intermediate levels of a step
-    are not cached), and every expansion is checked for leading coefficient
-    1 at (alpha0, n) and a tail strictly above level n.
+    On a cache miss the rows are stepped up from the highest cached level
+    of (alpha0, l) below n, found by bisection in the sorted level list,
+    through z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); with no cached
+    level below n they are built from scratch.  Each call that builds adds
+    exactly one cache entry (the intermediate levels of a step are not
+    cached), and every expansion is checked for leading coefficient 1 at
+    (alpha0, n) and a tail strictly above level n.
     """
     alpha0 = alpha % ctx.u
     key = (alpha0, n, l)
     rows = ctx._z_cache.get(key)
     if rows is None:
-        cursor = ctx._z_cursor.get((alpha0, l), -1)
-        if 0 <= cursor < n:
-            rows = ctx._z_cache[(alpha0, cursor, l)]
-            for k in range(cursor, n):
+        levels = ctx._z_levels.setdefault((alpha0, l), [])
+        i = bisect.bisect_left(levels, n)
+        if i:
+            start = levels[i - 1]
+            rows = ctx._z_cache[(alpha0, start, l)]
+            for k in range(start, n):
                 rows = _z_step_rows(ctx, l, alpha0, k, rows)
         else:
             rows = _z_full_rows(ctx, l, alpha0, n)
@@ -545,7 +555,7 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows,
         if min(rows) != n:
             raise InconsistencyError(f"z({alpha0}, {n}) has a tail below level {n}")
         ctx._z_cache[key] = rows
-        ctx._z_cursor[(alpha0, l)] = max(cursor, n)
+        levels.insert(i, n)
     return rows, alpha - alpha0
 
 

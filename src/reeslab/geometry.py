@@ -23,7 +23,6 @@ from .errors import (
     WidthError,
 )
 
-Rat = Fraction
 Point = tuple[Fraction, Fraction]
 
 #: Sentinel for unbounded column counts, ordered above every integer.
@@ -200,97 +199,6 @@ def period_data(tri: NormalizedTriangle) -> PeriodData:
 
 
 # ---------------------------------------------------------------------------
-# Lattice point enumeration
-
-
-def _convex_hull(points: list[Point]) -> list[Point]:
-    """Andrew monotone chain; returns hull vertices in ccw order."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _column_bounds(hull: list[Point], x: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """Exact [ymin, ymax] of the vertical slice of a convex polygon at x."""
-    n = len(hull)
-    if n == 1:
-        return (hull[0][1], hull[0][1]) if hull[0][0] == x else None
-    edges = [(hull[0], hull[1])] if n == 2 else [
-        (hull[i], hull[(i + 1) % n]) for i in range(n)
-    ]
-    ys: list[Fraction] = []
-    for (px, py), (qx, qy) in edges:
-        if px == qx:
-            if px == x:
-                ys.extend((py, qy))
-            continue
-        lo, hi = (px, qx) if px < qx else (qx, px)
-        if lo <= x <= hi:
-            ys.append(py + (qy - py) * (x - px) / (qx - px))
-    if not ys:
-        return None
-    return min(ys), max(ys)
-
-
-def enumerate_polygon_points(
-    polygon: Sequence[Point], scale: int = 1
-) -> list[tuple[int, int]]:
-    """All lattice points of scale*polygon, boundary inclusive, in lex order."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    pts = [(scale * _frac(x), scale * _frac(y)) for x, y in polygon]
-    hull = _convex_hull(pts)
-    xmin = min(x for x, _ in hull)
-    xmax = max(x for x, _ in hull)
-    out: list[tuple[int, int]] = []
-    for x in range(math.ceil(xmin), math.floor(xmax) + 1):
-        bounds = _column_bounds(hull, Fraction(x))
-        if bounds is None:
-            continue
-        ylo, yhi = bounds
-        out.extend((x, y) for y in range(math.ceil(ylo), math.floor(yhi) + 1))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# EMU condition
-
-
-@dataclass(frozen=True)
-class EmuReport:
-    holds: bool
-    column_counts: tuple[int, ...]
-    sorted_counts: tuple[int, ...]
-
-
-def emu_check(tri: NormalizedTriangle) -> EmuReport:
-    """Count lattice points of the companion triangle in columns 1..u and test
-    whether the ascending-sorted counts dominate (1, 2, ..., u)."""
-    pts = enumerate_polygon_points(delta_prime(tri), 1)
-    counts = tuple(
-        sum(1 for a, _ in pts if a == i) for i in range(1, tri.u + 1)
-    )
-    ordered = tuple(sorted(counts))
-    holds = all(c >= i for i, c in enumerate(ordered, start=1))
-    return EmuReport(holds=holds, column_counts=counts, sorted_counts=ordered)
-
-
-# ---------------------------------------------------------------------------
 # Cone tables
 
 
@@ -451,41 +359,33 @@ def overlaps_and_gaps(
 
 
 # ---------------------------------------------------------------------------
-# Toric data: weights, class group torsion, determinantal presentation
+# EMU condition
 
 
-def _det(mat: list[list[int]]) -> int:
-    k = len(mat)
-    if k == 1:
-        return mat[0][0]
-    if k == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = 0
-    for j in range(k):
-        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det(sub)
-        total += term if j % 2 == 0 else -term
-    return total
+@dataclass(frozen=True)
+class EmuReport:
+    holds: bool
+    column_counts: tuple[int, ...]
+    sorted_counts: tuple[int, ...]
 
 
-def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors of an integer matrix via determinantal divisors.
+def emu_check(tri: NormalizedTriangle) -> EmuReport:
+    """Count lattice points of the companion triangle in columns 1..u and test
+    whether the ascending-sorted counts dominate (1, 2, ..., u).
 
-    Fine for the tiny matrices used here; factor k is gcd(k-minors)/gcd((k-1)-minors).
+    The companion triangle is the first cone at the origin intersected with
+    the second cone translated to (u, -u2); the two share the bottom edge, so
+    column i holds min(a(i), b(i - u)) lattice points.
     """
-    from itertools import combinations
+    ct = cone_tables(tri)
+    counts = tuple(min(ct.a(i), ct.b(i - tri.u)) for i in range(1, tri.u + 1))
+    ordered = tuple(sorted(counts))
+    holds = all(c >= i for i, c in enumerate(ordered, start=1))
+    return EmuReport(holds=holds, column_counts=counts, sorted_counts=ordered)
 
-    nr, nc = len(rows), len(rows[0])
-    divisors = [1]
-    for k in range(1, min(nr, nc) + 1):
-        g = 0
-        for rs in combinations(range(nr), k):
-            for cs in combinations(range(nc), k):
-                g = math.gcd(g, _det([[rows[r][c] for c in cs] for r in rs]))
-        if g == 0:
-            break
-        divisors.append(g)
-    return tuple(divisors[k] // divisors[k - 1] for k in range(1, len(divisors)))
+
+# ---------------------------------------------------------------------------
+# Toric data: weights, class group torsion, determinantal presentation
 
 
 @dataclass(frozen=True)
@@ -523,17 +423,17 @@ def toric_data(tri: NormalizedTriangle) -> ToricData:
     if math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1:
         raise DegenerateError(f"weights {kernel} are not pairwise coprime")
 
-    factors = smith_invariant_factors([list(na), list(nb), list(nc)])
-    if len(factors) != 2:
-        raise DegenerateError("normal vectors do not span a rank-2 lattice")
-    d = factors[0] * factors[1]
+    # The torsion of Z^2 / <na, nb, nc> has determinantal divisors d1 (the
+    # gcd of the entries) and g (the gcd of the 2x2 minors, i.e. of the
+    # kernel before reduction).
+    d1 = math.gcd(*na, *nb, *nc)
     return ToricData(
         normal_a=na, normal_b=nb, normal_c=nc,
         weights=kernel,
-        torsion_order=d,
-        torsion_invariants=factors,
-        torsion_cyclic=factors[0] == 1,
-        i_is_prime=d == 1,
+        torsion_order=g,
+        torsion_invariants=(d1, g // d1),
+        torsion_cyclic=d1 == 1,
+        i_is_prime=g == 1,
         ideal_matrix=((tri.s2, tri.t3, tri.u1), (tri.t1, tri.u2, tri.s3)),
     )
 

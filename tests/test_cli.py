@@ -97,6 +97,27 @@ def test_package_has_no_assert_statements():
     assert offenders == []
 
 
+def test_package_has_no_unused_imports():
+    # Every name a module imports must be referenced in that module;
+    # __init__.py only re-exports, so it is exempt.
+    package = pathlib.Path(reeslab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        offenders.append(f"{path.name}:{node.lineno}:{name}")
+    assert offenders == []
+
+
 def test_nonprime_characteristic(worked_file):
     assert main(["analyze", "--input", worked_file, "--char", "6"]) == 1
 

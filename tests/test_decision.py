@@ -9,7 +9,6 @@ from reeslab.decision import (
     FG_WITNESS,
     NO_WITNESS_UP_TO_BOUNDS,
     NOT_FG_EXACT,
-    SLACK_ENV_VAR,
     SearchBounds,
     decide,
     factorize_integer,
@@ -126,21 +125,13 @@ def test_scan_family_rejects_out_of_range():
         scan_family([F(3, 2)], FieldSpec(0))
 
 
-def test_resolve_slack_env(monkeypatch):
-    bounds = SearchBounds()
-    monkeypatch.delenv(SLACK_ENV_VAR, raising=False)
-    assert resolve_slack(bounds, 12) == 12
-    monkeypatch.setenv(SLACK_ENV_VAR, "30")
-    assert resolve_slack(bounds, 12) == 30
-    monkeypatch.setenv(SLACK_ENV_VAR, "5")
-    with pytest.raises(RangeError):
-        resolve_slack(bounds, 12)
-    monkeypatch.setenv(SLACK_ENV_VAR, "many")
-    with pytest.raises(RangeError):
-        resolve_slack(bounds, 12)
-    # An explicit bound wins over the environment.
-    monkeypatch.setenv(SLACK_ENV_VAR, "30")
+def test_resolve_slack_env():
+    # The slack is sigma unless set explicitly, and never below sigma.
+    assert resolve_slack(SearchBounds(), 12) == 12
+    assert resolve_slack(SearchBounds(slack=12), 12) == 12
     assert resolve_slack(SearchBounds(slack=24), 12) == 24
+    with pytest.raises(RangeError):
+        resolve_slack(SearchBounds(slack=5), 12)
 
 
 def test_search_bounds_jmax_defaults():

@@ -2,18 +2,25 @@
 
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reeslab.errors import ClaimViolation, ShapeError, SlopeError, TriangleFileError, WidthError
+from reeslab.errors import (
+    ClaimViolation,
+    DegenerateError,
+    ShapeError,
+    SlopeError,
+    TriangleFileError,
+    WidthError,
+)
 from reeslab.geometry import (
     INF,
     cone_tables,
     delta_prime,
     emu_check,
-    enumerate_polygon_points,
     normalize_triangle,
     overlaps_and_gaps,
     pa_member,
@@ -21,7 +28,6 @@ from reeslab.geometry import (
     parse_triangle_text,
     pb_member,
     period_data,
-    smith_invariant_factors,
     toric_data,
 )
 
@@ -142,7 +148,7 @@ def test_period_scaled_family_member():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_polygon_points
+# lattice-point oracle
 
 
 def brute_force_points(polygon, scale):
@@ -169,39 +175,9 @@ def brute_force_points(polygon, scale):
     return out
 
 
-def test_enumerate_companion_triangle():
-    tri = normalize_triangle(WORKED)
-    dp = delta_prime(tri)
-    expected = brute_force_points(dp, 1)
-    assert expected == [(0, 0), (1, 0), (2, -1)]
-    assert enumerate_polygon_points(dp, 1) == expected
-
-
-def test_enumerate_unit_right_scale2():
-    assert len(enumerate_polygon_points(UNIT_RIGHT, 2)) == 6
-
-
-def test_enumerate_matches_brute_force_on_family():
-    for g in [F(2), F(13, 6), F(12, 5), F(8, 3), F(3)]:
-        dp = delta_prime(normalize_triangle(family_vertices(g)))
-        for scale in (1, 2, 3):
-            assert enumerate_polygon_points(dp, scale) == brute_force_points(dp, scale)
-
-
-def test_enumerate_picks_theorem_sigma_dilation():
-    # Lattice count of sigma*Delta = area*sigma^2 + boundary*sigma/2 + 1,
-    # with area = W/2.
-    tri = normalize_triangle(WORKED)
-    pd = period_data(tri)
-    verts = [(pd.sigma * x, pd.sigma * y) for x, y in tri.vertices]
-    boundary = 0
-    for i in range(3):
-        dx = verts[i][0] - verts[(i + 1) % 3][0]
-        dy = verts[i][1] - verts[(i + 1) % 3][1]
-        boundary += math.gcd(int(dx), int(dy))
-    area = tri.width / 2 * pd.sigma**2
-    count = len(enumerate_polygon_points(tri.vertices, pd.sigma))
-    assert count == area + F(boundary, 2) + 1 == 77
+def test_brute_force_companion_triangle():
+    dp = delta_prime(normalize_triangle(WORKED))
+    assert brute_force_points(dp, 1) == [(0, 0), (1, 0), (2, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +329,9 @@ def test_cone_periodicity_random_width_one(tri):
 
 
 @st.composite
-def normalized_triangles(draw):
+def normalized_triangles(draw, max_u=7):
     """Any width in (0, 1], with x2 = 0 or x1 = 0 (a vertical edge) often."""
-    u = draw(st.integers(min_value=1, max_value=7))
+    u = draw(st.integers(min_value=1, max_value=max_u))
     u2 = draw(st.integers(min_value=0, max_value=u))
     if math.gcd(u2, u) != 1:
         u, u2 = 1, 0
@@ -397,6 +373,16 @@ def test_emu_routes_agree_random(tri):
     rep = emu_check(tri)
     holds2, counts2 = emu_by_column_formula(tri)
     assert rep.holds == holds2 and rep.column_counts == counts2
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized_triangles(max_u=12))
+def test_emu_counts_match_brute_force(tri):
+    # The cone-table column counts against a half-plane scan of the
+    # companion triangle, at any width and with vertical edges.
+    pts = brute_force_points(delta_prime(tri), 1)
+    want = tuple(sum(1 for a, _ in pts if a == i) for i in range(1, tri.u + 1))
+    assert emu_check(tri).column_counts == want
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +437,29 @@ def test_claim_violation_on_wrong_period_lattice():
 # toric data
 
 
+def _det(mat):
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum((-1) ** j * mat[0][j] * _det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)))
+
+
+def smith_invariant_factors(rows):
+    """Oracle: invariant factors of an integer matrix via determinantal
+    divisors; factor k is gcd(k-minors)/gcd((k-1)-minors)."""
+    nr, nc = len(rows), len(rows[0])
+    divisors = [1]
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                g = math.gcd(g, _det([[rows[r][c] for c in cs] for r in rs]))
+        if g == 0:
+            break
+        divisors.append(g)
+    return tuple(divisors[k] // divisors[k - 1] for k in range(1, len(divisors)))
+
+
 def test_toric_worked_example():
     td = toric_data(normalize_triangle(WORKED))
     assert td.weights == (1, 1, 6)
@@ -475,6 +484,20 @@ def test_smith_invariant_factors_basics():
     assert smith_invariant_factors([[2, 0], [0, 3]]) == (1, 6)
     assert smith_invariant_factors([[7, -10], [-13, -2], [1, 2]]) == (1, 24)
     assert smith_invariant_factors([[2, 0], [0, 2], [0, 0]]) == (2, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(normalized_triangles())
+def test_torsion_matches_smith_oracle(tri):
+    try:
+        td = toric_data(tri)
+    except DegenerateError:
+        assume(False)
+    factors = smith_invariant_factors([td.normal_a, td.normal_b, td.normal_c])
+    assert td.torsion_invariants == factors
+    assert td.torsion_order == factors[0] * factors[1]
+    assert td.torsion_cyclic == (factors[0] == 1)
+    assert td.i_is_prime == (td.torsion_order == 1)
 
 
 # ---------------------------------------------------------------------------
