@@ -17,9 +17,14 @@ expanded so far; a new level is stepped up from the nearest cached level
 below it, and expanded from scratch only when there is none.
 
 Products reduce to the x-basis through the ceiling-defect rule
-x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}; the
-concrete Laurent-polynomial model (coefficients of v^alpha x^n) backs the
-change of basis and serves as an independent multiplication oracle in tests.
+x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.  The
+concrete Laurent-polynomial model (coefficients of v^alpha x^n) is an
+independent multiplication oracle for the tests; no production route uses it.
+
+Coefficients are added, scaled and reduced mod p in two helpers: _radd adds
+one term and _radd_row a scaled row.  Only the running column sum of
+_z_step_rows reduces on its own, which keeps the window engine's hottest loop
+free of a call per entry; binomials are reduced as they are made.
 
 Elements are immutable values by convention; all operations are pure.
 Context caches are append-only dicts and a level list only ever names
@@ -107,6 +112,31 @@ def _radd(rows: Rows, n: int, alpha: int, c, p: int) -> None:
             del rows[n]
 
 
+def _radd_row(rows: Rows, n: int, src: dict, c, p: int, shift: int = 0) -> None:
+    """rows[n] += c * src, src's columns shifted by shift; c None means 1.
+    Reduced mod p when p > 0, vanishing entries dropped.  A product is only
+    formed when c is given and a sum only when the slot holds a value, so
+    characteristic-0 coefficients keep their type."""
+    row = rows.get(n)
+    if row is None:
+        row = rows[n] = {}
+    for a, v in src.items():
+        if c is not None:
+            v = v * c
+        a += shift
+        old = row.get(a)
+        if old is not None:
+            v = old + v
+        if p:
+            v %= p
+        if v:
+            row[a] = v
+        elif old is not None:
+            del row[a]
+    if not row:
+        del rows[n]
+
+
 def _copy_rows(rows: Rows) -> Rows:
     return {n: dict(row) for n, row in rows.items()}
 
@@ -147,29 +177,22 @@ class AlgebraElement:
         p = self.ctx.field.characteristic
         rows = _copy_rows(self.rows)
         for n, row in other.rows.items():
-            for a, c in row.items():
-                _radd(rows, n, a, c, p)
+            _radd_row(rows, n, row, None, p)
         return AlgebraElement(self.ctx, self.level, rows)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        p = self.ctx.field.characteristic
-        return AlgebraElement(self.ctx, self.level, {
-            n: {a: (-c % p if p else -c) for a, c in row.items()}
-            for n, row in self.rows.items()
-        })
+        return self.scaled(-1)
 
     def scaled(self, c) -> "AlgebraElement":
-        fld = self.ctx.field
-        if fld.is_zero(c):
-            return AlgebraElement(self.ctx, self.level, {})
-        p = fld.characteristic
-        return AlgebraElement(self.ctx, self.level, {
-            n: {a: (v * c % p if p else v * c) for a, v in row.items()}
-            for n, row in self.rows.items()
-        })
+        p = self.ctx.field.characteristic
+        rows: Rows = {}
+        if c:
+            for n, row in self.rows.items():
+                _radd_row(rows, n, row, c, p)
+        return AlgebraElement(self.ctx, self.level, rows)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
@@ -265,8 +288,7 @@ def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
                         _radd(needw, n, a, c, p)
     if needw:
         for n, row in _times_w_rows(ctx, l, needw).items():
-            for a, c in row.items():
-                _radd(direct, n, a, c, p)
+            _radd_row(direct, n, row, None, p)
     return AlgebraElement(ctx, l, direct)
 
 
@@ -308,35 +330,22 @@ def _binom_series(j: int, l: int) -> list[int]:
     return out
 
 
-def _comb_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient mod a prime via its base-p digits (Lucas)."""
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    while k:
-        r = r * math.comb(n % p, k % p) % p
-        if not r:
-            return 0
-        n //= p
-        k //= p
-    return r
+def _comb(n: int, k: int, p: int) -> int:
+    """Binomial coefficient, reduced mod p when p > 0."""
+    c = math.comb(n, k)
+    return c % p if p else c
 
 
 def _field_series(ctx: AlgebraContext, j: int, l: int) -> list:
     """Field-reduced coefficients of (1-x)^j mod x^l, cached per context."""
     key = (j, l)
-    hit = ctx._series_cache.get(key)
-    if hit is not None:
-        return hit
-    p = ctx.field.characteristic
-    if p == 0:
+    out = ctx._series_cache.get(key)
+    if out is None:
         out = _binom_series(j, l)
-    elif j >= 0:
-        out = [(-_comb_mod(j, i, p) if i & 1 else _comb_mod(j, i, p)) % p
-               for i in range(min(j, l - 1) + 1)]
-    else:
-        out = [_comb_mod(-j - 1 + i, i, p) for i in range(l)]
-    ctx._series_cache[key] = out
+        p = ctx.field.characteristic
+        if p:
+            out = [c % p for c in out]
+        ctx._series_cache[key] = out
     return out
 
 
@@ -347,18 +356,15 @@ def _mul_x_series_rows(rows: Rows, series: list[int], l: int, p: int) -> Rows:
         for k, s in enumerate(series):
             if not s:
                 continue
-            nn = n + k
-            if nn >= l:
+            if n + k >= l:
                 break
-            for a, c in row.items():
-                _radd(out, nn, a, c * s, p)
+            _radd_row(out, n + k, row, s, p)
     return out
 
 
 def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
     """Closed-form x(alpha,0) * w^k for slope -1/2, by parity of alpha."""
     p = ctx.field.characteristic
-    comb = (lambda n, r: _comb_mod(n, r, p)) if p else math.comb
     out: Rows = {}
 
     def emit(coef: int, j: int, col: int, lvl: int):
@@ -378,15 +384,15 @@ def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
         for q in range(k):
             if 2 * q >= l:
                 break
-            emit(comb(k + q - 1, 2 * q), k - q, alpha + 2 * q, 2 * q)
-            emit(comb(k + q, 2 * q + 1), k - q - 1, alpha + 2 * q + 1, 2 * q + 1)
+            emit(_comb(k + q - 1, 2 * q, p), k - q, alpha + 2 * q, 2 * q)
+            emit(_comb(k + q, 2 * q + 1, p), k - q - 1, alpha + 2 * q + 1, 2 * q + 1)
     else:
         emit(1, k, alpha, 0)
         for q in range(k):
             if 2 * q + 1 >= l:
                 break
-            emit(comb(k + q, 2 * q + 1), k - q, alpha + 2 * q + 1, 2 * q + 1)
-            emit(comb(k + q + 1, 2 * q + 2), k - q - 1, alpha + 2 * q + 2, 2 * q + 2)
+            emit(_comb(k + q, 2 * q + 1, p), k - q, alpha + 2 * q + 1, 2 * q + 1)
+            emit(_comb(k + q + 1, 2 * q + 2, p), k - q - 1, alpha + 2 * q + 2, 2 * q + 2)
     return out
 
 
@@ -430,10 +436,8 @@ def w_pow_expand(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> Alg
     p = ctx.field.characteristic
     rows: Rows = {}
     for m, row in base.items():
-        if m + n >= l:
-            continue
-        for a, c in row.items():
-            _radd(rows, m + n, a + shift, c, p)
+        if m + n < l:
+            _radd_row(rows, m + n, row, None, p, shift)
     return AlgebraElement(ctx, l, rows)
 
 
@@ -451,9 +455,10 @@ def invert_unit(e: AlgebraElement) -> AlgebraElement:
     cinv = ctx.field.inv(c)
     # e = c(1 - g) with g supported on levels >= 1; inverse is c^-1 sum g^k.
     p = ctx.field.characteristic
-    g_rows = {n: {a: (-(v * cinv) % p if p else -(v * cinv))
-                  for a, v in row.items()}
-              for n, row in e.rows.items() if n >= 1}
+    g_rows: Rows = {}
+    for n, row in e.rows.items():
+        if n >= 1:
+            _radd_row(g_rows, n, row, -cinv, p)
     g = AlgebraElement(ctx, l, g_rows)
     acc = one(ctx, l)
     term = one(ctx, l)
@@ -469,14 +474,7 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
     """m-th power of the chart transition unit (1-x)^u * w^(-u2)."""
     if l < 1:
         raise LevelError("truncation level must be >= 1")
-    wexp = -ctx.u2 * m
-    if wexp >= 0:
-        rows, shift = _w_power_rows(ctx, l, 0, wexp)
-        if shift:
-            raise InconsistencyError(f"w-power of x(0, 0) shifted by {shift}")
-        base = AlgebraElement(ctx, l, _copy_rows(rows))
-    else:
-        base = element_power(invert_unit(w_element(ctx, l)), -wexp)
+    base = element_power(invert_unit(w_element(ctx, l)), ctx.u2 * m)
     series = _field_series(ctx, ctx.u * m, l)
     p = ctx.field.characteristic
     return AlgebraElement(ctx, l, _mul_x_series_rows(base.rows, series, l, p))
@@ -497,10 +495,8 @@ def _z_full_rows(ctx: AlgebraContext, l: int, alpha0: int, n: int) -> Rows:
     p = ctx.field.characteristic
     shifted: Rows = {}
     for m, row in wrows.items():
-        if m + n >= l:
-            continue
-        for a, c in row.items():
-            _radd(shifted, m + n, a, c, p)
+        if m + n < l:
+            _radd_row(shifted, m + n, row, None, p)
     return _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, p)
 
 
@@ -564,16 +560,16 @@ def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement
     (alpha, n), tail strictly above level n."""
     if not 0 <= n < l:
         raise LevelError(f"basis level {n} outside [0, {l})")
-    rows, shift = _z_rows_base(ctx, l, alpha, n)
-    if shift == 0:
-        return AlgebraElement(ctx, l, _copy_rows(rows))
-    return AlgebraElement(ctx, l, {
-        m: {a + shift: c for a, c in row.items()} for m, row in rows.items()
-    })
+    zrows, shift = _z_rows_base(ctx, l, alpha, n)
+    p = ctx.field.characteristic
+    rows: Rows = {}
+    for m, row in zrows.items():
+        _radd_row(rows, m, row, None, p, shift)
+    return AlgebraElement(ctx, l, rows)
 
 
 # ---------------------------------------------------------------------------
-# Laurent-polynomial model (change of basis plus an independent oracle)
+# Laurent-polynomial model (an independent multiplication oracle)
 
 
 def _laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
@@ -582,12 +578,11 @@ def _laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
     if cached is not None:
         return cached
     p = ctx.field.characteristic
-    comb = (lambda n, r: _comb_mod(n, r, p)) if p else math.comb
     rows: Rows = {}
     if k >= 0:
         # (1-x+vx)^k = sum_i C(k,i) (vx)^i (1-x)^(k-i)
         for i in range(min(k, l - 1) + 1):
-            ci = comb(k, i)
+            ci = _comb(k, i, p)
             for j, s in enumerate(_field_series(ctx, k - i, l)):
                 if i + j >= l:
                     break
@@ -596,9 +591,9 @@ def _laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
         # w^-r = sum_j C(r-1+j, j) (x - vx)^j, and (x-vx)^j = x^j (1-v)^j.
         r = -k
         for j in range(l):
-            cj = comb(r - 1 + j, j)
+            cj = _comb(r - 1 + j, j, p)
             for i in range(j + 1):
-                _radd(rows, j, i, cj * comb(j, i) * (-1) ** i, p)
+                _radd(rows, j, i, cj * _comb(j, i, p) * (-1) ** i, p)
     ctx._laurent_w_cache[(k, l)] = rows
     return rows
 
@@ -622,8 +617,7 @@ def to_laurent(e: AlgebraElement) -> Rows:
     for n, row in e.rows.items():
         for a, c in row.items():
             for m, lrow in _laurent_basis_rows(ctx, l, a, n).items():
-                for col, v in lrow.items():
-                    _radd(out, m, col, c * v, p)
+                _radd_row(out, m, lrow, c, p)
     return out
 
 
@@ -636,8 +630,7 @@ def canonicalize_from_laurent(ctx: AlgebraContext, l: int, laurent: Rows) -> Alg
     for n, row in laurent.items():
         if n >= l:
             raise LevelError(f"laurent level {n} outside [0, {l})")
-        for a, c in row.items():
-            _radd(residual, n, a, c, p)
+        _radd_row(residual, n, row, None, p)
     rows: Rows = {}
     for n in range(l):
         row = residual.get(n)
@@ -647,8 +640,7 @@ def canonicalize_from_laurent(ctx: AlgebraContext, l: int, laurent: Rows) -> Alg
         for a, c in picked:
             _radd(rows, n, a, c, p)
             for m, lrow in _laurent_basis_rows(ctx, l, a, n).items():
-                for col, v in lrow.items():
-                    _radd(residual, m, col, -(c * v), p)
+                _radd_row(residual, m, lrow, -c, p)
         if residual.get(n):
             raise NotInF(f"level-{n} residual not consumed")
     if residual:
@@ -669,8 +661,7 @@ def laurent_multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
             if n >= l:
                 continue
             for a1, c1 in row1.items():
-                for a2, c2 in row2.items():
-                    _radd(prod, n, a1 + a2, c1 * c2, p)
+                _radd_row(prod, n, row2, c1, p, a1)
     return canonicalize_from_laurent(ctx, l, prod)
 
 
@@ -743,20 +734,7 @@ def subspace_decompose(
                 b_part[(alpha, n)] = c
                 zrows, shift = _z_rows_base(ctx, l, alpha, n)
                 for zn, zrow in zrows.items():
-                    res_row = residual.get(zn)
-                    if res_row is None:
-                        res_row = residual[zn] = {}
-                    for za, zc in zrow.items():
-                        col = za + shift
-                        v = res_row.get(col, 0) - c * zc
-                        if p:
-                            v %= p
-                        if v:
-                            res_row[col] = v
-                        elif col in res_row:
-                            del res_row[col]
-                    if not res_row:
-                        del residual[zn]
+                    _radd_row(residual, zn, zrow, -c, p, shift)
             else:
                 gaps[(alpha, n)] = c
                 _radd(residual, n, alpha, -c, p)

@@ -23,6 +23,7 @@ from typing import Optional
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
+    _radd_row,
     multiply,
     invert_unit,
     one,
@@ -41,13 +42,11 @@ from .errors import (
 from .fields import FieldSpec, coeff_str
 from .geometry import (
     ConeTables,
+    EmuReport,
     PeriodData,
-    cone_tables,
-    emu_check,
     overlaps_and_gaps,
     pa_member,
     pb_member,
-    period_data,
 )
 
 DEFAULT_BRANCH_BUDGET = 10_000
@@ -80,24 +79,20 @@ class ObstructionMatrix:
 def _echelon_rank(rows, gaps, fld: FieldSpec):
     """Gaussian elimination over the field; gap order (level asc, column asc)
     fixes the pivot order.  Returns (rank, pivot positions)."""
+    p = fld.characteristic
     index = {pos: i for i, pos in enumerate(gaps)}
     pivots: dict[int, dict] = {}
     for row in rows:
-        vec = {index[pos]: c for pos, c in row.items() if not fld.is_zero(c)}
-        while vec:
+        work: dict[int, dict] = {}    # the row being reduced, under key 0
+        _radd_row(work, 0, {index[pos]: c for pos, c in row.items()}, None, p)
+        while work:
+            vec = work[0]
             lead = min(vec)
             piv = pivots.get(lead)
             if piv is None:
-                inv = fld.inv(vec[lead])
-                pivots[lead] = {j: fld.mul(c, inv) for j, c in vec.items()}
+                _radd_row(pivots, lead, vec, fld.inv(vec[lead]), p)
                 break
-            factor = vec[lead]
-            for j, c in piv.items():
-                newc = fld.sub(vec.get(j, fld.of_int(0)), fld.mul(factor, c))
-                if fld.is_zero(newc):
-                    vec.pop(j, None)
-                else:
-                    vec[j] = newc
+            _radd_row(work, 0, piv, -vec[lead], p)
     return len(pivots), [gaps[i] for i in sorted(pivots)]
 
 
@@ -265,8 +260,8 @@ class FactorizationOutcome:
 def _coefficient_splits(fld: FieldSpec, c):
     """Free-parameter grid for an overlap coefficient: the whole prime field
     in characteristic p, the two one-sided routings in characteristic 0."""
-    if fld.is_modular:
-        p = fld.characteristic
+    p = fld.characteristic
+    if p:
         return [(ca, (c - ca) % p) for ca in range(p)]
     return [(c, fld.of_int(0)), (fld.of_int(0), c)]
 
@@ -335,9 +330,9 @@ def factorization_search(
             fa = dict(fa_terms)
             fb = dict(fb_terms)
             for (alpha, _), (ca, cb) in zip(overlap_terms, choice):
-                if not fld.is_zero(ca):
+                if ca:
                     fa[alpha] = ca
-                if not fld.is_zero(cb):
+                if cb:
                     fb[alpha] = cb
             one_fa = one(ctx, l)
             for alpha, c in fa.items():
@@ -372,17 +367,17 @@ def factorization_search(
     )
 
 
-def char0_b2_check(tri, branch_budget: int = DEFAULT_BRANCH_BUDGET) -> bool:
+def char0_b2_check(tri, emu: EmuReport, ct: ConeTables, pd: PeriodData,
+                   branch_budget: int = DEFAULT_BRANCH_BUDGET) -> bool:
     """Characteristic-0 unit-factorization criterion at m=1, cross-checked
-    against the column-count criterion; disagreement raises TheoremViolation.
+    against the column-count criterion ``emu`` of the same triangle, whose
+    cone tables and period data are ``ct`` and ``pd``; disagreement raises
+    TheoremViolation.
     """
     from .fields import RATIONALS
 
     ctx = AlgebraContext(tri.u2, tri.u, RATIONALS)
-    ct = cone_tables(tri)
-    pd = period_data(tri)
     outcome = factorization_search(ctx, ct, pd, 1, branch_budget=branch_budget)
-    emu = emu_check(tri)
     if outcome.success != emu.holds:
         raise TheoremViolation(
             f"unit factorization ({outcome.success}) disagrees with the "

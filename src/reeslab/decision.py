@@ -127,7 +127,8 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
     if p == 0:
         emu = emu_check(tri)
         # Raises TheoremViolation when unit factorization disagrees.
-        char0_b2_check(tri, branch_budget=bounds.branch_budget)
+        char0_b2_check(tri, emu, cone_tables(tri), pd,
+                       branch_budget=bounds.branch_budget)
         return Verdict(
             status=FG_EXACT if emu.holds else NOT_FG_EXACT,
             witness=None,

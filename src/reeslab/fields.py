@@ -3,7 +3,11 @@
 Coefficients are plain Python objects: ``fractions.Fraction`` (or ``int``)
 in characteristic 0, and ``int`` reduced to ``[0, p)`` in characteristic p.
 Keeping coefficients primitive lets the hot loops in the section algebra
-stay free of per-element dispatch.
+stay free of per-element dispatch.  ``FieldSpec`` only brings integers and
+fractions into the field and inverts; sums and products are reduced mod p
+where they are accumulated, in ``algebra._radd`` (one term) and
+``algebra._radd_row`` (a scaled row, also used by the elimination in
+``cohomology._echelon_rank``).
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ class FieldSpec:
         if p != 0 and not is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
-    @property
-    def is_modular(self) -> bool:
-        return self.characteristic != 0
-
     def of_int(self, n: int):
         p = self.characteristic
         return n % p if p else Fraction(n)
@@ -55,14 +55,6 @@ class FieldSpec:
             raise ZeroDivisionError(f"denominator {den} vanishes mod {p}")
         return (num * pow(den, -1, p)) % p
 
-    def sub(self, a, b):
-        p = self.characteristic
-        return (a - b) % p if p else a - b
-
-    def mul(self, a, b):
-        p = self.characteristic
-        return (a * b) % p if p else a * b
-
     def inv(self, a):
         p = self.characteristic
         if p:
@@ -72,10 +64,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        p = self.characteristic
-        return a % p == 0 if p else a == 0
 
 
 RATIONALS = FieldSpec(0)

@@ -109,8 +109,9 @@ def test_criterion_03_family_scan_interior():
         for row in rows:
             expected = FG_EXACT if F(7, 3) <= row.g <= F(8, 3) else NOT_FG_EXACT
             assert row.status == expected, f"g={row.g}"
-            assert char0_b2_check(family_triangle(row.g)) == \
-                emu_check(family_triangle(row.g)).holds
+            tri = family_triangle(row.g)
+            emu = emu_check(tri)
+            assert char0_b2_check(tri, emu, cone_tables(tri), period_data(tri)) == emu.holds
     report(3, f"interior family members exact in {sw.elapsed:.3f}s")
 
 

@@ -1,5 +1,6 @@
 """Tests for the truncated section algebra."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from reeslab.algebra import (
     AlgebraContext,
     AlgebraElement,
+    _field_series,
     canonicalize_from_laurent,
     context_for,
     dump_element,
@@ -345,6 +347,44 @@ def test_modular_reduction_matches_rationals():
                        for n, row in eq.rows.items()}
             reduced = {n: row for n, row in reduced.items() if row}
             assert ep.rows == reduced
+
+
+def _comb_mod(n, k, p):
+    """Binomial coefficient mod a prime via its base-p digits (Lucas)."""
+    if k < 0 or k > n:
+        return 0
+    r = 1
+    while k:
+        r = r * math.comb(n % p, k % p) % p
+        if not r:
+            return 0
+        n //= p
+        k //= p
+    return r
+
+
+def test_field_series_matches_lucas_oracle():
+    # (1-x)^j has coefficients (-1)^i C(j, i) for j >= 0 (a polynomial of
+    # degree j) and C(-j-1+i, i) for j < 0; Lucas's theorem reduces each
+    # binomial digit by digit without forming it.
+    for p in (2, 3, 5, 7):
+        ctx = AlgebraContext(1, 2, FieldSpec(p))
+        for j in range(-40, 41):
+            if j >= 0:
+                full = [(-1) ** i * _comb_mod(j, i, p) % p for i in range(min(j, 47) + 1)]
+            else:
+                full = [_comb_mod(-j - 1 + i, i, p) for i in range(48)]
+            for l in range(1, 49):
+                assert _field_series(ctx, j, l) == full[:l], (p, j, l)
+
+
+def test_xi_power_flat_slope_is_a_binomial():
+    # u2 = 0: w carries no power and xi^m = (1-x)^m.
+    for ctx in (CTX_FLAT_Q, AlgebraContext(0, 1, FieldSpec(3))):
+        l = 6
+        for m in (1, 2, 5):
+            series = one(ctx, l) - x_basis(ctx, l, 0, 1)
+            assert xi_power(ctx, l, m) == element_power(series, m)
 
 
 # ---------------------------------------------------------------------------

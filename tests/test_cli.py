@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -116,6 +119,19 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno}:{name}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("demo, line", [
+    ("worked_example.py", "characteristic 2: FG_WITNESS"),
+    ("family_scan.py", "g = 13/6   NO_WITNESS_UP_TO_BOUNDS"),
+])
+def test_demo_runs(demo, line):
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    run = subprocess.run([sys.executable, str(repo / "demos" / demo)], cwd=repo,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert line in run.stdout
 
 
 def test_nonprime_characteristic(worked_file):

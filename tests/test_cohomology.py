@@ -7,6 +7,7 @@ import pytest
 
 from reeslab.algebra import context_for, multiply, one, xi_power
 from reeslab.cohomology import (
+    _echelon_rank,
     char0_b2_check,
     cohomology_dims,
     d_set,
@@ -15,7 +16,7 @@ from reeslab.cohomology import (
 )
 from reeslab.errors import BudgetExceeded, TheoremViolation, WidthError
 from reeslab.fields import RATIONALS, FieldSpec
-from reeslab.geometry import cone_tables, normalize_triangle, period_data
+from reeslab.geometry import cone_tables, emu_check, normalize_triangle, period_data
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -67,6 +68,60 @@ def test_chi_window_sums():
 
 # ---------------------------------------------------------------------------
 # cohomology windows
+
+
+def _dense_rank(rows, gaps, p):
+    """Gaussian elimination on the dense matrix, columns in gap order:
+    (rank, pivot columns as gap positions)."""
+    mat = [[row.get(pos, 0) for pos in gaps] for row in rows]
+    if p:
+        mat = [[c % p for c in r] for r in mat]
+    else:
+        mat = [[F(c) for c in r] for r in mat]
+    pivots, top = [], 0
+    for col in range(len(gaps)):
+        hit = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if hit is None:
+            continue
+        mat[top], mat[hit] = mat[hit], mat[top]
+        inv = pow(mat[top][col], -1, p) if p else 1 / mat[top][col]
+        for i in range(len(mat)):
+            if i != top and mat[i][col]:
+                f = mat[i][col] * inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[top])]
+                if p:
+                    mat[i] = [a % p for a in mat[i]]
+        pivots.append(gaps[col])
+        top += 1
+    return top, pivots
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_echelon_rank_matches_dense_elimination(p):
+    rng = random.Random(1000 + p)
+    for trial in range(150):
+        gaps = sorted({(rng.randint(-6, 6), rng.randint(0, 5))
+                       for _ in range(rng.randint(1, 12))},
+                      key=lambda pos: (pos[1], pos[0]))
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            if rows and rng.random() < 0.3:
+                # A combination of earlier rows, to force rank deficiency.
+                row = {}
+                for old in rng.sample(rows, min(2, len(rows))):
+                    f = rng.randint(-3, 3)
+                    for pos, c in old.items():
+                        row[pos] = row.get(pos, 0) + f * c
+            else:
+                row = {pos: rng.randint(-4, 4) for pos in rng.sample(
+                    gaps, rng.randint(1, len(gaps)))}
+            if p:
+                row = {pos: c % p for pos, c in row.items()}
+            else:
+                row = {pos: F(c, rng.randint(1, 3)) for pos, c in row.items()}
+            rows.append(row)
+        got = _echelon_rank(rows, gaps, FieldSpec(p))
+        assert got == _dense_rank(rows, gaps, p), (p, trial)
 
 
 def test_trivial_window():
@@ -311,17 +366,21 @@ def test_overlap_lattice_exhaustive_window():
     assert overlaps == [(10 * k, 12 * k) for k in range(10)]
 
 
+def b2_check(tri):
+    return char0_b2_check(tri, emu_check(tri), cone_tables(tri), period_data(tri))
+
+
 def test_b2_matches_emu_on_interior_family():
     expected = {
         F(9, 4): False, F(13, 6): False, F(7, 3): True, F(12, 5): True,
         F(5, 2): True, F(8, 3): True, F(11, 4): False,
     }
     for g, want in expected.items():
-        assert char0_b2_check(family_triangle(g)) is want, f"g={g}"
+        assert b2_check(family_triangle(g)) is want, f"g={g}"
 
 
 def test_b2_u1_triangle():
-    assert char0_b2_check(normalize_triangle([(0, 0), (1, 0), (0, 1)]))
+    assert b2_check(normalize_triangle([(0, 0), (1, 0), (0, 1)]))
 
 
 def test_b2_vertical_edge_degeneration():
@@ -329,6 +388,6 @@ def test_b2_vertical_edge_degeneration():
     # factorization succeeds regardless of the column-count criterion: at the
     # g=3 endpoint the two criteria genuinely disagree and the runtime check
     # must say so.
-    assert char0_b2_check(family_triangle(2)) is True
+    assert b2_check(family_triangle(2)) is True
     with pytest.raises(TheoremViolation):
-        char0_b2_check(family_triangle(3))
+        b2_check(family_triangle(3))

@@ -1,9 +1,11 @@
 """Tests for the theorem-level decision procedures and the family scanner."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from reeslab import geometry
 from reeslab.decision import (
     FG_EXACT,
     FG_WITNESS,
@@ -32,6 +34,27 @@ def test_family_triangle_formula():
         family_triangle(F(7, 2))
     with pytest.raises(RangeError):
         family_triangle(F(1))
+
+
+def test_decide_char0_runs_emu_check_once(monkeypatch):
+    # The cross-check reuses decide's EmuReport, cone tables and period data.
+    # Like the benchmark tracer, wrap emu_check under every module name that
+    # holds it, so a second call from any layer is counted.
+    original = geometry.emu_check
+    calls = []
+
+    def counting(tri):
+        calls.append(tri)
+        return original(tri)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("reeslab") and \
+                vars(mod).get("emu_check") is original:
+            monkeypatch.setattr(mod, "emu_check", counting)
+    for tri in (normalize_triangle(WORKED), family_triangle(F(5, 2))):
+        calls.clear()
+        decide(tri, FieldSpec(0))
+        assert len(calls) == 1
 
 
 def test_decide_char0_worked_example():
