@@ -5,6 +5,8 @@ from .algebra import (
     AlgebraContext,
     AlgebraElement,
     DecompositionCertificate,
+    OverlapDifferences,
+    OverlapGaps,
     canonicalize_from_laurent,
     context_for,
     dump_element,

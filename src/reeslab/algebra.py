@@ -530,8 +530,8 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows,
     through z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); with no cached
     level below n they are built from scratch.  Each call that builds adds
     exactly one cache entry (the intermediate levels of a step are not
-    cached), and every expansion is checked for leading coefficient 1 at
-    (alpha0, n) and a tail strictly above level n.
+    cached), and every expansion is checked to be exactly x(alpha0, n) at
+    level n, with its tail strictly above level n.
     """
     alpha0 = alpha % ctx.u
     key = (alpha0, n, l)
@@ -546,8 +546,8 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows,
                 rows = _z_step_rows(ctx, l, alpha0, k, rows)
         else:
             rows = _z_full_rows(ctx, l, alpha0, n)
-        if rows.get(n, {}).get(alpha0) != 1:
-            raise InconsistencyError(f"z({alpha0}, {n}) lacks leading coefficient 1")
+        if rows.get(n) != {alpha0: 1}:
+            raise InconsistencyError(f"z({alpha0}, {n}) is not 1 * x({alpha0}, {n}) at level {n}")
         if min(rows) != n:
             raise InconsistencyError(f"z({alpha0}, {n}) has a tail below level {n}")
         ctx._z_cache[key] = rows
@@ -698,18 +698,53 @@ class DecompositionCertificate:
         return out
 
 
+@dataclass
+class OverlapDifferences:
+    """The elements z(alpha, n) - x(alpha, n) of C(level), one per overlap
+    position (alpha, n) of a restriction window, in the given order.  They
+    are not expanded here: subspace_decompose expands member i when its
+    sweep reaches level n_i."""
+
+    ctx: AlgebraContext
+    level: int
+    positions: list
+
+
+@dataclass
+class OverlapGaps:
+    """Gap residuals of an OverlapDifferences family: rows[i] maps (alpha, n)
+    to the nonzero x-basis coefficients of member i's, by ascending level,
+    then column."""
+
+    rows: list
+
+    @property
+    def gap_residual(self) -> dict:
+        """The family's gap residual as one map {(i, alpha, n): coeff}, so
+        that both kinds of subspace_decompose result answer gap_residual."""
+        return {(i, a, n): c for i, row in enumerate(self.rows) for (a, n), c in row.items()}
+
+
 def subspace_decompose(
-    e: AlgebraElement, m: int, ct: ConeTables, policy: str = "A"
-) -> DecompositionCertificate:
-    """Greedy ascending-level reduction of e into A(m,l) + B(m,l) + gaps.
+    e: AlgebraElement | OverlapDifferences, m: int, ct: ConeTables, policy: str = "A"
+) -> DecompositionCertificate | OverlapGaps:
+    """Greedy ascending-level reduction into A(m,l) + B(m,l) + gaps.
 
     At each level, coefficients at first-cone positions are absorbed as x-basis
     terms, second-cone positions as z-basis terms (subtracting the full z
     tail from the residual), overlap positions per the routing policy, and
     gap positions into the residual.
+
+    e is one AlgebraElement, which gives a DecompositionCertificate, or the
+    OverlapDifferences of a restriction window, which gives their OverlapGaps.
+    A family is reduced in one sweep for all members (_overlap_gap_rows); the
+    per-element loop below is the certificate route and the sweep's test
+    oracle.
     """
     if policy not in ("A", "B"):
         raise ValueError(f"policy must be 'A' or 'B', got {policy!r}")
+    if isinstance(e, OverlapDifferences):
+        return OverlapGaps(_overlap_gap_rows(e.ctx, ct, m, e.level, e.positions, policy))
     ctx, l = e.ctx, e.level
     lead = e.min_level()
     if lead is not None and lead < m:
@@ -744,6 +779,114 @@ def subspace_decompose(
         ctx=ctx, level=l, m=m, overlap_policy=policy,
         a_part=a_part, b_part=b_part, gap_residual=gaps,
     )
+
+
+def _slot_width(p: int, visits: int) -> int:
+    """Bits per packed coefficient slot in characteristic p.  A slot gets
+    less than p from its row's seed and at most (p-1)^2 from each of at most
+    `visits` second-cone positions, and is reduced only when it is read."""
+    return (p - 1 + visits * (p - 1) ** 2).bit_length()
+
+
+def _slots(v: int, offsets: list, mask: int) -> list:
+    """The unreduced slot values of a packed entry, one per offset."""
+    return [(v >> s) & mask for s in offsets]
+
+
+def _overlap_gap_rows(
+    ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list, policy: str,
+) -> list[dict]:
+    """Gap residuals of z(alpha, n) - x(alpha, n) on [m, l), one dict
+    {(alpha, n): coeff} per overlap (alpha, n), in one ascending-level sweep.
+
+    The greedy reduction of subspace_decompose is run on all rows together.
+    Row i's z-tail enters the residual when the sweep reaches its level, and
+    each second-cone position is reduced once for all rows, walking its
+    z-tail once.  Cone membership comes from the two per-level thresholds: a
+    residual column alpha >= 0 is in the first cone iff alpha >=
+    min_pa_col(n), in the second iff alpha <= max_pb_col(n).
+
+    In characteristic p a residual entry packs the rows' coefficients into
+    one int, row i in the bits from width*i on, with width from _slot_width;
+    slots stay nonnegative (c*z is subtracted as (p - c)*z) and are reduced
+    mod p when the position is read, which happens once, since z-tails reach
+    only higher levels.  Rationals are not packed: each row runs its own
+    sweep with a scalar coefficient, added through _radd_row.
+    """
+    p = ctx.field.characteristic
+    if not p and len(overlaps) > 1:
+        return [_overlap_gap_rows(ctx, ct, m, l, [pos], policy)[0] for pos in overlaps]
+    # Second-cone positions with a nonnegative column at level n number at
+    # most n + 1, and each is visited at most once.
+    visit_bound = (l * (l + 1) - m * (m + 1)) // 2
+    width = _slot_width(p, visit_bound) if p else 0
+    mask = (1 << width) - 1
+    seeds: dict = {}
+    for i, (alpha, n) in enumerate(overlaps):
+        if not m <= n < l:
+            raise LevelError(f"overlap ({alpha}, {n}) outside the window [{m}, {l})")
+        seeds.setdefault(n, []).append((i, alpha))
+    residual: Rows = {}
+    rows: list[dict] = [{} for _ in overlaps]
+    live: list[int] = []      # rows seeded so far ...
+    offsets: list[int] = []   # ... and their slot offsets
+    visits = 0
+
+    def add_tail(alpha: int, n: int, mult) -> None:
+        # residual += mult * (z(alpha, n) without its leading term at level n)
+        zrows, shift = _z_rows_base(ctx, l, alpha, n)
+        for zn, zrow in zrows.items():
+            if zn == n:
+                continue
+            if not p:
+                _radd_row(residual, zn, zrow, None if mult == 1 else mult, 0, shift)
+                continue
+            lvl = residual.get(zn)
+            if lvl is None:
+                lvl = residual[zn] = {}
+            for a, s in zrow.items():
+                a += shift
+                lvl[a] = lvl.get(a, 0) + s * mult
+
+    for n in range(m, l):
+        for i, alpha in seeds.get(n, ()):
+            live.append(i)
+            offsets.append(width * i)
+            add_tail(alpha, n, 1 << (width * i))
+        row = residual.pop(n, None)
+        if not row:
+            continue
+        cols = sorted(row)
+        if cols[0] < 0:
+            raise InconsistencyError(f"residual column {cols[0]} < 0 at level {n}")
+        col_a = ct.min_pa_col(n)
+        col_b = ct.max_pb_col(n)
+        for alpha in cols:
+            if alpha >= col_a and (policy == "A" or alpha > col_b):
+                continue
+            v = row[alpha]
+            if not v:
+                continue
+            cs = [c % p for c in _slots(v, offsets, mask)] if p else [v]
+            if alpha <= col_b:
+                if not any(cs):
+                    continue
+                visits += 1
+                if visits > visit_bound:
+                    raise InconsistencyError(
+                        f"window [{m}, {l}) visited more than {visit_bound} "
+                        "second-cone positions")
+                if p:
+                    add_tail(alpha, n, sum((-c % p) << s for c, s in zip(cs, offsets)))
+                else:
+                    add_tail(alpha, n, -v)
+            else:
+                for i, c in zip(live, cs):
+                    if c:
+                        rows[i][(alpha, n)] = c
+    if residual:
+        raise NotInF(f"window sweep left a residual at levels {sorted(residual)}")
+    return rows
 
 
 # ---------------------------------------------------------------------------

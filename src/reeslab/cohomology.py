@@ -3,9 +3,11 @@ multiplicative unit-factorization search.
 
 For a window of levels [m, l) the global sections and the obstruction space
 are computed from a finite matrix: one row per overlap position k*(theta,
-sigma) in the window, obtained by reducing the difference z - x at that
-position through the greedy two-cone decomposition and collecting the gap
-residual.  With r the rank over the base field,
+sigma) in the window, the gap residual of the difference z - x at that
+position.  The differences are handed to algebra.subspace_decompose as one
+family (OverlapDifferences), which reduces all of them through the greedy
+two-cone decomposition in one ascending-level sweep over the window.  With
+r the rank over the base field,
 
     h0 = #overlaps - r,        h1 = #gaps - r,
 
@@ -23,6 +25,7 @@ from typing import Optional
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
+    OverlapDifferences,
     _radd_row,
     multiply,
     invert_unit,
@@ -93,6 +96,9 @@ def _echelon_rank(rows, gaps, fld: FieldSpec):
                 _radd_row(pivots, lead, vec, fld.inv(vec[lead]), p)
                 break
             _radd_row(work, 0, piv, -vec[lead], p)
+            if lead in work.get(0, ()):
+                raise InconsistencyError(
+                    f"elimination left the pivot entry of gap {gaps[lead]} in the row")
     return len(pivots), [gaps[i] for i in sorted(pivots)]
 
 
@@ -144,11 +150,7 @@ def cohomology_dims(
     if slack is None:
         slack = pd.sigma
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l, slack=slack)
-    rows = []
-    for a0, n0 in overlaps:
-        e = z_element(ctx, l, a0, n0) - x_basis(ctx, l, a0, n0)
-        cert = subspace_decompose(e, m, ct, policy=policy)
-        rows.append(cert.gap_residual)
+    rows = subspace_decompose(OverlapDifferences(ctx, l, overlaps), m, ct, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)
     h0 = len(overlaps) - rank
     h1 = len(gaps) - rank

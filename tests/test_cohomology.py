@@ -1,11 +1,26 @@
 """Tests for the two-chart cohomology engine and the factorization search."""
 
+import math
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from reeslab.algebra import context_for, multiply, one, xi_power
+from reeslab import algebra
+from reeslab.algebra import (
+    OverlapDifferences,
+    OverlapGaps,
+    context_for,
+    multiply,
+    one,
+    subspace_decompose,
+    x_basis,
+    xi_power,
+    z_element,
+)
 from reeslab.cohomology import (
     _echelon_rank,
     char0_b2_check,
@@ -14,7 +29,13 @@ from reeslab.cohomology import (
     factorization_search,
     per_level_chi,
 )
-from reeslab.errors import BudgetExceeded, TheoremViolation, WidthError
+from reeslab.errors import (
+    BudgetExceeded,
+    InconsistencyError,
+    SlopeError,
+    TheoremViolation,
+    WidthError,
+)
 from reeslab.fields import RATIONALS, FieldSpec
 from reeslab.geometry import cone_tables, emu_check, normalize_triangle, period_data
 
@@ -122,6 +143,33 @@ def test_echelon_rank_matches_dense_elimination(p):
             rows.append(row)
         got = _echelon_rank(rows, gaps, FieldSpec(p))
         assert got == _dense_rank(rows, gaps, p), (p, trial)
+
+
+class _WrongInverse(FieldSpec):
+    """A field whose inverse is off by a factor of 2."""
+
+    def inv(self, a):
+        return 2 * FieldSpec.inv(self, a)
+
+
+@pytest.mark.parametrize("p", [0, 3, 5])
+def test_echelon_rank_raises_on_a_faulty_pivot(p):
+    # A pivot that is not normalized to 1 cannot cancel the lead entry of a
+    # later row; the elimination must raise instead of looping forever.
+    gaps = [(0, 1), (1, 1)]
+    rows = [{(0, 1): 1, (1, 1): 1}, {(0, 1): 2, (1, 1): 3}]
+
+    def hang(signum, frame):
+        raise TimeoutError("elimination did not terminate")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(InconsistencyError):
+            _echelon_rank(rows, gaps, _WrongInverse(p))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_trivial_window():
@@ -364,6 +412,90 @@ def test_overlap_lattice_exhaustive_window():
 
     overlaps, _ = overlaps_and_gaps(ct, pd, 0, 10 * pd.sigma)
     assert overlaps == [(10 * k, 12 * k) for k in range(10)]
+
+
+# ---------------------------------------------------------------------------
+# the window sweep against the per-row decomposition
+
+
+def oracle_rows(tri, char, m, l, overlaps, policy):
+    """Gap residual of z - x at each overlap, one subspace_decompose per
+    row, in a fresh context so that no expansion cache is shared."""
+    ctx, ct = context_for(tri, FieldSpec(char)), cone_tables(tri)
+    return [subspace_decompose(z_element(ctx, l, a, n) - x_basis(ctx, l, a, n),
+                               m, ct, policy=policy).gap_residual
+            for a, n in overlaps]
+
+
+@st.composite
+def width_one_windows(draw):
+    ubar = draw(st.sampled_from([F(-1, 2), F(-1, 3), F(-2, 3)]))
+    d = draw(st.integers(min_value=2, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=d - 1))
+    assume(math.gcd(k, d) == 1)
+    x2 = F(-k, d)
+    try:
+        tri = normalize_triangle([(x2, ubar * x2), (x2 + 1, ubar * (x2 + 1)), (0, 1)])
+    except SlopeError:
+        assume(False)
+    sigma = period_data(tri).sigma
+    m = draw(st.integers(min_value=0, max_value=2 * sigma))
+    return tri, m, m + draw(st.integers(min_value=1, max_value=2 * sigma))
+
+
+@pytest.mark.parametrize("policy", ["A", "B"])
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+@settings(max_examples=12, deadline=None)
+@given(window=width_one_windows(), slack_periods=st.sampled_from([1, 2]))
+def test_window_sweep_matches_per_row_decomposition(char, policy, window, slack_periods):
+    tri, m, l = window
+    pd = period_data(tri)
+    rep = cohomology_dims(context_for(tri, FieldSpec(char)), cone_tables(tri), pd, m, l,
+                          policy=policy, slack=slack_periods * pd.sigma)
+    want = oracle_rows(tri, char, m, l, rep.matrix.overlaps, policy)
+    # Same entries in the same (level, column) order.
+    assert [list(r.items()) for r in rep.matrix.rows] == [list(r.items()) for r in want]
+
+
+@pytest.mark.parametrize("policy", ["A", "B"])
+def test_window_sweep_at_a_large_prime(policy, monkeypatch):
+    # Slots of about 60 bits, several rows per window.  Every unreduced slot
+    # value the sweep reads stays within the bound its slot width is made for.
+    p = 1_000_003
+    tri = normalize_triangle(WORKED)
+    ctx, ct, pd = context_for(tri, FieldSpec(p)), cone_tables(tri), period_data(tri)
+    read = []
+    slots = algebra._slots
+
+    def recording_slots(v, offsets, mask):
+        out = slots(v, offsets, mask)
+        read.extend(out)
+        return out
+
+    monkeypatch.setattr(algebra, "_slots", recording_slots)
+    rep = cohomology_dims(ctx, ct, pd, 12, 60, policy=policy)
+    assert len(rep.matrix.overlaps) == 4
+    assert rep.matrix.rows == oracle_rows(tri, p, 12, 60, rep.matrix.overlaps, policy)
+    assert any(c > 2**16 for row in rep.matrix.rows for c in row.values())
+    visits = (60 * 61 - 12 * 13) // 2
+    assert max(read) > 2 * p**2
+    assert max(read) <= p - 1 + visits * (p - 1) ** 2
+
+
+def test_family_result_answers_gap_residual():
+    ctx, ct, pd = worked(5)
+    rep = cohomology_dims(ctx, ct, pd, 12, 36)
+    gaps = subspace_decompose(OverlapDifferences(ctx, 36, rep.matrix.overlaps), 12, ct)
+    assert isinstance(gaps, OverlapGaps)
+    assert gaps.rows == rep.matrix.rows
+    assert gaps.gap_residual == {(i, a, n): c for i, row in enumerate(rep.matrix.rows)
+                                 for (a, n), c in row.items()}
+
+
+def test_window_sweep_rejects_a_negative_column():
+    ctx, ct, _ = worked(5)
+    with pytest.raises(InconsistencyError, match="column -"):
+        subspace_decompose(OverlapDifferences(ctx, 24, [(-5, 12)]), 12, ct)
 
 
 def b2_check(tri):

@@ -368,6 +368,21 @@ def test_cone_tables_match_fraction_formula(tri):
 
 
 @settings(max_examples=40, deadline=None)
+@given(normalized_triangles(), st.lists(st.integers(min_value=0, max_value=400),
+                                        min_size=1, max_size=4))
+def test_cone_thresholds_decide_membership(tri, levels):
+    # The window sweep classifies a column alpha >= 0 at level n by the two
+    # thresholds alone, which needs a and b monotone at every column, not
+    # only inside the gap strip that overlaps_and_gaps re-checks.
+    ct = cone_tables(tri)
+    for n in levels + [0, 400]:
+        col_a, col_b = ct.min_pa_col(n), ct.max_pb_col(n)
+        for alpha in range(0, 2 * n + 3):
+            assert (alpha >= col_a) == pa_member(ct, alpha, n), (alpha, n)
+            assert (alpha <= col_b) == pb_member(ct, alpha, n), (alpha, n)
+
+
+@settings(max_examples=40, deadline=None)
 @given(width_one_triangles())
 def test_emu_routes_agree_random(tri):
     rep = emu_check(tri)
