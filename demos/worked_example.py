@@ -49,15 +49,15 @@ def main():
           f"(prime ideal: {td.i_is_prime})")
     print(f"determinantal exponents: {td.ideal_matrix}")
 
-    emu = emu_check(tri)
+    ct = cone_tables(tri)
+    emu = emu_check(tri, ct)
     print(f"\ncolumn counts of the companion triangle: {emu.column_counts} "
           f"-> sorted {emu.sorted_counts}, condition holds: {emu.holds}")
 
-    ct = cone_tables(tri)
     print(f"a(0..10) = {[ct.a(i) for i in range(11)]}")
     print(f"b(0), b(-1), b(-2) = {[ct.b(0), ct.b(-1), ct.b(-2)]}")
     print(f"per-level chi over one period: "
-          f"{[per_level_chi(ct, pd, n) for n in range(pd.sigma)]}")
+          f"{[per_level_chi(ct, n) for n in range(pd.sigma)]}")
 
     print("\n== characteristic 2: explicit witness at m = 2 ==")
     ctx2 = context_for(tri, FieldSpec(2))

@@ -4,10 +4,7 @@ triangle toric surfaces."""
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
-    DecompositionCertificate,
-    OverlapDifferences,
     OverlapGaps,
-    canonicalize_from_laurent,
     context_for,
     dump_element,
     invert_unit,

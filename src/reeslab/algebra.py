@@ -17,9 +17,15 @@ expanded so far; a new level is stepped up from the nearest cached level
 below it, and expanded from scratch only when there is none.
 
 Products reduce to the x-basis through the ceiling-defect rule
-x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.  The
-concrete Laurent-polynomial model (coefficients of v^alpha x^n) is an
-independent multiplication oracle for the tests; no production route uses it.
+x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
+
+subspace_decompose is the one two-cone reduction: it reduces the overlap
+differences z - x of a restriction window into the two chart ideals, all rows
+in one ascending sweep.  It takes the window and its overlap positions as
+plain arguments; there is no OverlapDifferences wrapper.  The independent
+routes live in tests/oracles.py: the per-element reduction with its
+certificate checks the sweep, and the Laurent-polynomial model (coefficients
+of v^alpha x^n) checks products.
 
 Coefficients are added, scaled and reduced mod p in two helpers: _radd adds
 one term and _radd_row a scaled row.  Only the running column sum of
@@ -47,7 +53,7 @@ from .errors import (
     NotInF,
 )
 from .fields import FieldSpec, coeff_str
-from .geometry import ConeTables, pa_member, pb_member
+from .geometry import ConeTables
 
 Rows = dict  # level -> {column -> coefficient}
 
@@ -64,7 +70,6 @@ class AlgebraContext:
         self._wpow_cache: dict = {}
         self._z_cache: dict = {}
         self._z_levels: dict = {}    # (alpha0, l) -> sorted n in _z_cache
-        self._laurent_w_cache: dict = {}
         self._series_cache: dict = {}
 
     def ceil_slope(self, alpha: int) -> int:
@@ -137,10 +142,6 @@ def _radd_row(rows: Rows, n: int, src: dict, c, p: int, shift: int = 0) -> None:
         del rows[n]
 
 
-def _copy_rows(rows: Rows) -> Rows:
-    return {n: dict(row) for n, row in rows.items()}
-
-
 class AlgebraElement:
     """A finite x-basis combination in the level-l truncation."""
 
@@ -158,9 +159,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def coeff(self, alpha: int, n: int):
-        return self.rows.get(n, {}).get(alpha, self.ctx.field.of_int(0))
-
     def support(self) -> list[tuple[int, int]]:
         return [(a, n) for n in sorted(self.rows) for a in sorted(self.rows[n])]
 
@@ -175,7 +173,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
         p = self.ctx.field.characteristic
-        rows = _copy_rows(self.rows)
+        rows = {n: dict(row) for n, row in self.rows.items()}
         for n, row in other.rows.items():
             _radd_row(rows, n, row, None, p)
         return AlgebraElement(self.ctx, self.level, rows)
@@ -396,10 +394,8 @@ def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
     return out
 
 
-def _w_power_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> tuple[Rows, int]:
-    """Cached rows of x(alpha0, 0) * w^k with alpha0 = alpha mod u, plus the
-    column shift alpha - alpha0.  Shifting by multiples of u is exact because
-    x(u*j, 0) multiplies through with defect 0.
+def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
+    """Cached rows of x(alpha0, 0) * w^k for a column alpha0 in [0, u).
 
     Slope -1/2 takes the closed form of _lemma_w_rows; the generic loop of
     w-products serves every other slope.  The benchmark keeps both routes,
@@ -409,7 +405,6 @@ def _w_power_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> tuple[Rows
     when z was only ever stepped up from level 0 against 2.3 s."""
     if k < 0:
         raise ValueError("w power must be nonnegative here")
-    alpha0 = alpha % ctx.u
     key = (alpha0, k, l)
     rows = ctx._wpow_cache.get(key)
     if rows is None:
@@ -420,7 +415,7 @@ def _w_power_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> tuple[Rows
             for _ in range(k):
                 rows = _times_w_rows(ctx, l, rows)
         ctx._wpow_cache[key] = rows
-    return rows, alpha - alpha0
+    return rows
 
 
 def w_pow_expand(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> AlgebraElement:
@@ -489,12 +484,9 @@ def _z_full_rows(ctx: AlgebraContext, l: int, alpha0: int, n: int) -> Rows:
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
     if delta < 0:
         raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
-    wrows, shift0 = _w_power_rows(ctx, l, alpha0, delta)
-    if shift0:
-        raise InconsistencyError(f"w-power of x({alpha0}, 0) shifted by {shift0}")
     p = ctx.field.characteristic
     shifted: Rows = {}
-    for m, row in wrows.items():
+    for m, row in _w_power_rows(ctx, l, alpha0, delta).items():
         if m + n < l:
             _radd_row(shifted, m + n, row, None, p)
     return _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, p)
@@ -569,216 +561,39 @@ def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement
 
 
 # ---------------------------------------------------------------------------
-# Laurent-polynomial model (an independent multiplication oracle)
-
-
-def _laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
-    """Rows of w^k in coordinates (level, v-degree), truncated."""
-    cached = ctx._laurent_w_cache.get((k, l))
-    if cached is not None:
-        return cached
-    p = ctx.field.characteristic
-    rows: Rows = {}
-    if k >= 0:
-        # (1-x+vx)^k = sum_i C(k,i) (vx)^i (1-x)^(k-i)
-        for i in range(min(k, l - 1) + 1):
-            ci = _comb(k, i, p)
-            for j, s in enumerate(_field_series(ctx, k - i, l)):
-                if i + j >= l:
-                    break
-                _radd(rows, i + j, i, ci * s, p)
-    else:
-        # w^-r = sum_j C(r-1+j, j) (x - vx)^j, and (x-vx)^j = x^j (1-v)^j.
-        r = -k
-        for j in range(l):
-            cj = _comb(r - 1 + j, j, p)
-            for i in range(j + 1):
-                _radd(rows, j, i, cj * _comb(j, i, p) * (-1) ** i, p)
-    ctx._laurent_w_cache[(k, l)] = rows
-    return rows
-
-
-def _laurent_basis_rows(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Rows:
-    """Laurent rows of the basis element at (alpha, n)."""
-    base = _laurent_w_rows(ctx, l, ctx.ceil_slope(alpha))
-    out: Rows = {}
-    for m, row in base.items():
-        if m + n >= l:
-            continue
-        out[m + n] = {a + alpha: c for a, c in row.items()}
-    return out
-
-
-def to_laurent(e: AlgebraElement) -> Rows:
-    """Expand into coefficients of v^alpha x^n."""
-    ctx, l = e.ctx, e.level
-    p = ctx.field.characteristic
-    out: Rows = {}
-    for n, row in e.rows.items():
-        for a, c in row.items():
-            for m, lrow in _laurent_basis_rows(ctx, l, a, n).items():
-                _radd_row(out, m, lrow, c, p)
-    return out
-
-
-def canonicalize_from_laurent(ctx: AlgebraContext, l: int, laurent: Rows) -> AlgebraElement:
-    """Invert the triangular change of basis: ascending in level, the pure
-    v^alpha x^n coefficient left after subtracting already-identified
-    expansions is the coefficient at (alpha, n)."""
-    p = ctx.field.characteristic
-    residual: Rows = {}
-    for n, row in laurent.items():
-        if n >= l:
-            raise LevelError(f"laurent level {n} outside [0, {l})")
-        _radd_row(residual, n, row, None, p)
-    rows: Rows = {}
-    for n in range(l):
-        row = residual.get(n)
-        if not row:
-            continue
-        picked = sorted(row.items())
-        for a, c in picked:
-            _radd(rows, n, a, c, p)
-            for m, lrow in _laurent_basis_rows(ctx, l, a, n).items():
-                _radd_row(residual, m, lrow, -c, p)
-        if residual.get(n):
-            raise NotInF(f"level-{n} residual not consumed")
-    if residual:
-        raise NotInF("expansion left a nonzero residual")
-    return AlgebraElement(ctx, l, rows)
-
-
-def laurent_multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
-    """Independent multiplication route through the Laurent model."""
-    _check_same(e1, e2)
-    ctx, l = e1.ctx, e1.level
-    p = ctx.field.characteristic
-    r1, r2 = to_laurent(e1), to_laurent(e2)
-    prod: Rows = {}
-    for n1, row1 in r1.items():
-        for n2, row2 in r2.items():
-            n = n1 + n2
-            if n >= l:
-                continue
-            for a1, c1 in row1.items():
-                _radd_row(prod, n, row2, c1, p, a1)
-    return canonicalize_from_laurent(ctx, l, prod)
-
-
-# ---------------------------------------------------------------------------
-# Decomposition into the two chart ideals
-
-
-@dataclass
-class DecompositionCertificate:
-    """Routing of an element into chart pieces plus the unroutable residual.
-
-    a_part holds x-basis coefficients at first-cone positions, b_part holds
-    z-basis coefficients at second-cone positions, gap_residual the x-basis
-    coefficients at positions covered by neither.  Re-expanding the three
-    parts recovers the input exactly.
-    """
-
-    ctx: AlgebraContext
-    level: int
-    m: int
-    overlap_policy: str
-    a_part: dict
-    b_part: dict
-    gap_residual: dict
-
-    def reexpand(self) -> AlgebraElement:
-        out = zero(self.ctx, self.level)
-        for (a, n), c in sorted(self.a_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
-        for (a, n), c in sorted(self.b_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            out = out + z_element(self.ctx, self.level, a, n).scaled(c)
-        for (a, n), c in sorted(self.gap_residual.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
-        return out
-
-
-@dataclass
-class OverlapDifferences:
-    """The elements z(alpha, n) - x(alpha, n) of C(level), one per overlap
-    position (alpha, n) of a restriction window, in the given order.  They
-    are not expanded here: subspace_decompose expands member i when its
-    sweep reaches level n_i."""
-
-    ctx: AlgebraContext
-    level: int
-    positions: list
+# Window reduction into the two chart ideals
 
 
 @dataclass
 class OverlapGaps:
-    """Gap residuals of an OverlapDifferences family: rows[i] maps (alpha, n)
-    to the nonzero x-basis coefficients of member i's, by ascending level,
+    """Gap residuals of a restriction window: rows[i] maps (alpha, n) to the
+    nonzero x-basis coefficients of z - x at overlap i, by ascending level,
     then column."""
 
     rows: list
 
     @property
     def gap_residual(self) -> dict:
-        """The family's gap residual as one map {(i, alpha, n): coeff}, so
-        that both kinds of subspace_decompose result answer gap_residual."""
+        """All rows as one map {(i, alpha, n): coeff}."""
         return {(i, a, n): c for i, row in enumerate(self.rows) for (a, n), c in row.items()}
 
 
 def subspace_decompose(
-    e: AlgebraElement | OverlapDifferences, m: int, ct: ConeTables, policy: str = "A"
-) -> DecompositionCertificate | OverlapGaps:
-    """Greedy ascending-level reduction into A(m,l) + B(m,l) + gaps.
+    ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list, policy: str = "A",
+) -> OverlapGaps:
+    """Greedy ascending-level reduction of the differences z(alpha, n) -
+    x(alpha, n), one per overlap (alpha, n) of the window [m, l), into
+    A(m,l) + B(m,l) + gaps.
 
     At each level, coefficients at first-cone positions are absorbed as x-basis
     terms, second-cone positions as z-basis terms (subtracting the full z
     tail from the residual), overlap positions per the routing policy, and
-    gap positions into the residual.
-
-    e is one AlgebraElement, which gives a DecompositionCertificate, or the
-    OverlapDifferences of a restriction window, which gives their OverlapGaps.
-    A family is reduced in one sweep for all members (_overlap_gap_rows); the
-    per-element loop below is the certificate route and the sweep's test
-    oracle.
+    gap positions into the residual; what the gap positions take is the
+    result.  All rows are reduced together in one sweep (_overlap_gap_rows).
     """
     if policy not in ("A", "B"):
         raise ValueError(f"policy must be 'A' or 'B', got {policy!r}")
-    if isinstance(e, OverlapDifferences):
-        return OverlapGaps(_overlap_gap_rows(e.ctx, ct, m, e.level, e.positions, policy))
-    ctx, l = e.ctx, e.level
-    lead = e.min_level()
-    if lead is not None and lead < m:
-        raise LevelError(f"element has support at level {lead} below m={m}")
-    p = ctx.field.characteristic
-    residual = _copy_rows(e.rows)
-    a_part: dict = {}
-    b_part: dict = {}
-    gaps: dict = {}
-    for n in range(m, l):
-        row = residual.get(n)
-        if not row:
-            continue
-        for alpha in sorted(row):
-            c = row[alpha]
-            in_a = pa_member(ct, alpha, n)
-            in_b = pb_member(ct, alpha, n)
-            if in_a and (policy == "A" or not in_b):
-                a_part[(alpha, n)] = c
-                _radd(residual, n, alpha, -c, p)
-            elif in_b:
-                b_part[(alpha, n)] = c
-                zrows, shift = _z_rows_base(ctx, l, alpha, n)
-                for zn, zrow in zrows.items():
-                    _radd_row(residual, zn, zrow, -c, p, shift)
-            else:
-                gaps[(alpha, n)] = c
-                _radd(residual, n, alpha, -c, p)
-    if residual:
-        raise NotInF(f"decomposition left a residual at levels {sorted(residual)}")
-    return DecompositionCertificate(
-        ctx=ctx, level=l, m=m, overlap_policy=policy,
-        a_part=a_part, b_part=b_part, gap_residual=gaps,
-    )
+    return OverlapGaps(_overlap_gap_rows(ctx, ct, m, l, overlaps, policy))
 
 
 def _slot_width(p: int, visits: int) -> int:
@@ -799,7 +614,7 @@ def _overlap_gap_rows(
     """Gap residuals of z(alpha, n) - x(alpha, n) on [m, l), one dict
     {(alpha, n): coeff} per overlap (alpha, n), in one ascending-level sweep.
 
-    The greedy reduction of subspace_decompose is run on all rows together.
+    The body of subspace_decompose, run on all rows together.
     Row i's z-tail enters the residual when the sweep reaches its level, and
     each second-cone position is reduced once for all rows, walking its
     z-tail once.  Cone membership comes from the two per-level thresholds: a

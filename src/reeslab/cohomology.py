@@ -4,15 +4,20 @@ multiplicative unit-factorization search.
 For a window of levels [m, l) the global sections and the obstruction space
 are computed from a finite matrix: one row per overlap position k*(theta,
 sigma) in the window, the gap residual of the difference z - x at that
-position.  The differences are handed to algebra.subspace_decompose as one
-family (OverlapDifferences), which reduces all of them through the greedy
-two-cone decomposition in one ascending-level sweep over the window.  With
-r the rank over the base field,
+position.  algebra.subspace_decompose reduces the differences of all
+overlaps of the window through the greedy two-cone decomposition in one
+ascending-level sweep; it takes the overlap positions directly (there is no
+OverlapDifferences wrapper).  The per-element reduction it is tested
+against lives in tests/oracles.py.  With r the rank over the base field,
 
     h0 = #overlaps - r,        h1 = #gaps - r,
 
 and h0 - h1 must equal the sum of per-level Euler characteristics, which is
 checked on every call.
+
+The factorization search decides cone membership by the same per-level
+thresholds as the sweep (ConeTables.min_pa_col and max_pb_col); the
+per-position test pa_member only re-verifies a certificate it found.
 """
 
 from __future__ import annotations
@@ -25,13 +30,11 @@ from typing import Optional
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
-    OverlapDifferences,
     _radd_row,
     multiply,
     invert_unit,
     one,
     subspace_decompose,
-    x_basis,
     xi_power,
     z_element,
 )
@@ -49,13 +52,12 @@ from .geometry import (
     PeriodData,
     overlaps_and_gaps,
     pa_member,
-    pb_member,
 )
 
 DEFAULT_BRANCH_BUDGET = 10_000
 
 
-def per_level_chi(ct: ConeTables, pd: PeriodData, n: int) -> int:
+def per_level_chi(ct: ConeTables, n: int) -> int:
     """Overlap count minus gap count at a single level, exactly."""
     col_a = ct.min_pa_col(n)
     col_b = ct.max_pb_col(n)
@@ -150,12 +152,12 @@ def cohomology_dims(
     if slack is None:
         slack = pd.sigma
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l, slack=slack)
-    rows = subspace_decompose(OverlapDifferences(ctx, l, overlaps), m, ct, policy=policy).rows
+    rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)
     h0 = len(overlaps) - rank
     h1 = len(gaps) - rank
     chi = h0 - h1
-    chi_independent = sum(per_level_chi(ct, pd, n) for n in range(m, l))
+    chi_independent = sum(per_level_chi(ct, n) for n in range(m, l))
     if chi != chi_independent:
         raise InconsistencyError(
             f"window [{m}, {l}): h0-h1={chi} but per-level sum={chi_independent}")
@@ -301,10 +303,12 @@ def factorization_search(
         fb_terms: dict[int, object] = {}
         overlap_terms: list[tuple[int, object]] = []
         gap_terms: dict = {}
+        col_a = ct.min_pa_col(n)
+        col_b = ct.max_pb_col(n)
         for alpha in sorted(row):
             c = row[alpha]
-            in_a = pa_member(ct, alpha, n)
-            in_b = pb_member(ct, alpha, n)
+            in_a = alpha >= col_a
+            in_b = alpha <= col_b
             if in_a and in_b:
                 if n % pd.sigma or alpha != (n // pd.sigma) * pd.theta:
                     raise ClaimViolation(
@@ -336,9 +340,10 @@ def factorization_search(
                     fa[alpha] = ca
                 if cb:
                     fb[alpha] = cb
-            one_fa = one(ctx, l)
-            for alpha, c in fa.items():
-                one_fa = one_fa + x_basis(ctx, l, alpha, n).scaled(c)
+            fa_rows = {0: {0: fld.of_int(1)}}
+            if fa:
+                fa_rows[n] = fa
+            one_fa = AlgebraElement(ctx, l, fa_rows)
             one_fb = one(ctx, l)
             for alpha, c in fb.items():
                 one_fb = one_fb + z_element(ctx, l, alpha, n).scaled(c)

@@ -125,10 +125,10 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
     slack = resolve_slack(bounds, pd.sigma)
 
     if p == 0:
-        emu = emu_check(tri)
+        ct = cone_tables(tri)
+        emu = emu_check(tri, ct)
         # Raises TheoremViolation when unit factorization disagrees.
-        char0_b2_check(tri, emu, cone_tables(tri), pd,
-                       branch_budget=bounds.branch_budget)
+        char0_b2_check(tri, emu, ct, pd, branch_budget=bounds.branch_budget)
         return Verdict(
             status=FG_EXACT if emu.holds else NOT_FG_EXACT,
             witness=None,
@@ -311,12 +311,12 @@ def reference_example_suite() -> list[SuiteItem]:
           f"weights={td.weights}, d={td.torsion_order}")
 
     # (d) per-level Euler characteristics
-    pattern = [per_level_chi(ct, pd, n) for n in range(12)]
+    pattern = [per_level_chi(ct, n) for n in range(12)]
     sums_ok = True
     for p, rmax in [(2, 2), (3, 1), (5, 1), (7, 0)]:
         for r in range(rmax + 1):
             q = p**r
-            total = sum(per_level_chi(ct, pd, n) for n in range(12 * q, 24 * q))
+            total = sum(per_level_chi(ct, n) for n in range(12 * q, 24 * q))
             sums_ok = sums_ok and total == -2 * q
     check("d: chi pattern",
           pattern == [1, -1, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0] and sums_ok,

@@ -202,6 +202,23 @@ def period_data(tri: NormalizedTriangle) -> PeriodData:
 # Cone tables
 
 
+def _first_reaching(count, n: int) -> int:
+    """Smallest k >= 0 with count(k) >= n+1, for a nondecreasing column
+    count that is unbounded or infinite: a galloping then a binary search."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
+    lo, hi = 0, 1
+    while count(hi) < n + 1:
+        lo, hi = hi, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count(mid) >= n + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class ConeTables:
     """Column counts of the two boundary cones.
 
@@ -251,48 +268,16 @@ class ConeTables:
 
     def min_pa_col(self, n: int) -> int:
         """Smallest column alpha >= 0 with a(alpha) >= n+1."""
-        if n < 0:
-            raise ValueError("level must be nonnegative")
-        cached = self._pa_cache.get(n)
-        if cached is not None:
-            return cached
-        if self.sbar is None:
-            col = 0
-        else:
-            lo, hi = 0, 1
-            while self.a(hi) < n + 1:
-                lo, hi = hi, hi * 2
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.a(mid) >= n + 1:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            col = lo
-        self._pa_cache[n] = col
+        col = self._pa_cache.get(n)
+        if col is None:
+            col = self._pa_cache[n] = _first_reaching(self.a, n)
         return col
 
     def max_pb_i(self, n: int) -> int:
         """Largest i <= 0 with b(i) >= n+1 (so P_B covers columns <= n + i)."""
-        if n < 0:
-            raise ValueError("level must be nonnegative")
-        cached = self._pb_cache.get(n)
-        if cached is not None:
-            return cached
-        if self.tbar is None:
-            i = 0
-        else:
-            lo, hi = 0, 1
-            while self.b(-hi) < n + 1:
-                lo, hi = hi, hi * 2
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self.b(-mid) >= n + 1:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            i = -lo
-        self._pb_cache[n] = i
+        i = self._pb_cache.get(n)
+        if i is None:
+            i = self._pb_cache[n] = -_first_reaching(lambda k: self.b(-k), n)
         return i
 
     def max_pb_col(self, n: int) -> int:
@@ -369,15 +354,15 @@ class EmuReport:
     sorted_counts: tuple[int, ...]
 
 
-def emu_check(tri: NormalizedTriangle) -> EmuReport:
+def emu_check(tri: NormalizedTriangle, ct: ConeTables) -> EmuReport:
     """Count lattice points of the companion triangle in columns 1..u and test
     whether the ascending-sorted counts dominate (1, 2, ..., u).
 
     The companion triangle is the first cone at the origin intersected with
     the second cone translated to (u, -u2); the two share the bottom edge, so
-    column i holds min(a(i), b(i - u)) lattice points.
+    column i holds min(a(i), b(i - u)) lattice points, read off ct, the cone
+    tables of tri.
     """
-    ct = cone_tables(tri)
     counts = tuple(min(ct.a(i), ct.b(i - tri.u)) for i in range(1, tri.u + 1))
     ordered = tuple(sorted(counts))
     holds = all(c >= i for i, c in enumerate(ordered, start=1))

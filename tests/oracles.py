@@ -1,0 +1,208 @@
+"""Independent routes that the tests check production code against.
+
+* The Laurent-polynomial model writes an element in coefficients of
+  v^alpha x^n and multiplies there; canonicalize_from_laurent inverts the
+  triangular change of basis.  It checks algebra.multiply.
+* decompose_element runs the greedy two-cone reduction on one element,
+  deciding membership position by position with pa_member and pb_member,
+  and returns a certificate that re-expands to its input.  It checks the
+  window sweep algebra.subspace_decompose, row by row.
+
+No module of reeslab uses these routes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from reeslab.algebra import (
+    AlgebraContext,
+    AlgebraElement,
+    _check_same,
+    _comb,
+    _field_series,
+    _radd,
+    _radd_row,
+    _z_rows_base,
+    x_basis,
+    z_element,
+    zero,
+)
+from reeslab.errors import LevelError, NotInF
+from reeslab.geometry import ConeTables, pa_member, pb_member
+
+Rows = dict  # level -> {column -> coefficient}
+
+# ---------------------------------------------------------------------------
+# Laurent-polynomial model (an independent multiplication oracle)
+
+_laurent_w_cache: dict = {}   # (ctx.key, k, l) -> rows of w^k
+
+
+def laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
+    """Rows of w^k in coordinates (level, v-degree), truncated."""
+    key = (ctx.key, k, l)
+    cached = _laurent_w_cache.get(key)
+    if cached is not None:
+        return cached
+    p = ctx.field.characteristic
+    rows: Rows = {}
+    if k >= 0:
+        # (1-x+vx)^k = sum_i C(k,i) (vx)^i (1-x)^(k-i)
+        for i in range(min(k, l - 1) + 1):
+            ci = _comb(k, i, p)
+            for j, s in enumerate(_field_series(ctx, k - i, l)):
+                if i + j >= l:
+                    break
+                _radd(rows, i + j, i, ci * s, p)
+    else:
+        # w^-r = sum_j C(r-1+j, j) (x - vx)^j, and (x-vx)^j = x^j (1-v)^j.
+        r = -k
+        for j in range(l):
+            cj = _comb(r - 1 + j, j, p)
+            for i in range(j + 1):
+                _radd(rows, j, i, cj * _comb(j, i, p) * (-1) ** i, p)
+    _laurent_w_cache[key] = rows
+    return rows
+
+
+def laurent_basis_rows(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Rows:
+    """Laurent rows of the basis element at (alpha, n)."""
+    base = laurent_w_rows(ctx, l, ctx.ceil_slope(alpha))
+    out: Rows = {}
+    for m, row in base.items():
+        if m + n >= l:
+            continue
+        out[m + n] = {a + alpha: c for a, c in row.items()}
+    return out
+
+
+def to_laurent(e: AlgebraElement) -> Rows:
+    """Expand into coefficients of v^alpha x^n."""
+    ctx, l = e.ctx, e.level
+    p = ctx.field.characteristic
+    out: Rows = {}
+    for n, row in e.rows.items():
+        for a, c in row.items():
+            for m, lrow in laurent_basis_rows(ctx, l, a, n).items():
+                _radd_row(out, m, lrow, c, p)
+    return out
+
+
+def canonicalize_from_laurent(ctx: AlgebraContext, l: int, laurent: Rows) -> AlgebraElement:
+    """Invert the triangular change of basis: ascending in level, the pure
+    v^alpha x^n coefficient left after subtracting already-identified
+    expansions is the coefficient at (alpha, n)."""
+    p = ctx.field.characteristic
+    residual: Rows = {}
+    for n, row in laurent.items():
+        if n >= l:
+            raise LevelError(f"laurent level {n} outside [0, {l})")
+        _radd_row(residual, n, row, None, p)
+    rows: Rows = {}
+    for n in range(l):
+        row = residual.get(n)
+        if not row:
+            continue
+        picked = sorted(row.items())
+        for a, c in picked:
+            _radd(rows, n, a, c, p)
+            for m, lrow in laurent_basis_rows(ctx, l, a, n).items():
+                _radd_row(residual, m, lrow, -c, p)
+        if residual.get(n):
+            raise NotInF(f"level-{n} residual not consumed")
+    if residual:
+        raise NotInF("expansion left a nonzero residual")
+    return AlgebraElement(ctx, l, rows)
+
+
+def laurent_multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
+    """Independent multiplication route through the Laurent model."""
+    _check_same(e1, e2)
+    ctx, l = e1.ctx, e1.level
+    p = ctx.field.characteristic
+    r1, r2 = to_laurent(e1), to_laurent(e2)
+    prod: Rows = {}
+    for n1, row1 in r1.items():
+        for n2, row2 in r2.items():
+            n = n1 + n2
+            if n >= l:
+                continue
+            for a1, c1 in row1.items():
+                _radd_row(prod, n, row2, c1, p, a1)
+    return canonicalize_from_laurent(ctx, l, prod)
+
+
+# ---------------------------------------------------------------------------
+# Per-element decomposition into the two chart ideals
+
+
+@dataclass
+class DecompositionCertificate:
+    """Routing of an element into chart pieces plus the unroutable residual.
+
+    a_part holds x-basis coefficients at first-cone positions, b_part holds
+    z-basis coefficients at second-cone positions, gap_residual the x-basis
+    coefficients at positions covered by neither.  Re-expanding the three
+    parts recovers the input exactly.
+    """
+
+    ctx: AlgebraContext
+    level: int
+    m: int
+    overlap_policy: str
+    a_part: dict
+    b_part: dict
+    gap_residual: dict
+
+    def reexpand(self) -> AlgebraElement:
+        out = zero(self.ctx, self.level)
+        for (a, n), c in sorted(self.a_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
+        for (a, n), c in sorted(self.b_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            out = out + z_element(self.ctx, self.level, a, n).scaled(c)
+        for (a, n), c in sorted(self.gap_residual.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
+        return out
+
+
+def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
+                      policy: str = "A") -> DecompositionCertificate:
+    """Greedy ascending-level reduction of one element into A(m,l) + B(m,l)
+    + gaps, with membership decided per position by pa_member/pb_member."""
+    if policy not in ("A", "B"):
+        raise ValueError(f"policy must be 'A' or 'B', got {policy!r}")
+    ctx, l = e.ctx, e.level
+    lead = e.min_level()
+    if lead is not None and lead < m:
+        raise LevelError(f"element has support at level {lead} below m={m}")
+    p = ctx.field.characteristic
+    residual = {n: dict(row) for n, row in e.rows.items()}
+    a_part: dict = {}
+    b_part: dict = {}
+    gaps: dict = {}
+    for n in range(m, l):
+        row = residual.get(n)
+        if not row:
+            continue
+        for alpha in sorted(row):
+            c = row[alpha]
+            in_a = pa_member(ct, alpha, n)
+            in_b = pb_member(ct, alpha, n)
+            if in_a and (policy == "A" or not in_b):
+                a_part[(alpha, n)] = c
+                _radd(residual, n, alpha, -c, p)
+            elif in_b:
+                b_part[(alpha, n)] = c
+                zrows, shift = _z_rows_base(ctx, l, alpha, n)
+                for zn, zrow in zrows.items():
+                    _radd_row(residual, zn, zrow, -c, p, shift)
+            else:
+                gaps[(alpha, n)] = c
+                _radd(residual, n, alpha, -c, p)
+    if residual:
+        raise NotInF(f"decomposition left a residual at levels {sorted(residual)}")
+    return DecompositionCertificate(
+        ctx=ctx, level=l, m=m, overlap_policy=policy,
+        a_part=a_part, b_part=b_part, gap_residual=gaps,
+    )

@@ -110,8 +110,9 @@ def test_criterion_03_family_scan_interior():
             expected = FG_EXACT if F(7, 3) <= row.g <= F(8, 3) else NOT_FG_EXACT
             assert row.status == expected, f"g={row.g}"
             tri = family_triangle(row.g)
-            emu = emu_check(tri)
-            assert char0_b2_check(tri, emu, cone_tables(tri), period_data(tri)) == emu.holds
+            ct = cone_tables(tri)
+            emu = emu_check(tri, ct)
+            assert char0_b2_check(tri, emu, ct, period_data(tri)) == emu.holds
     report(3, f"interior family members exact in {sw.elapsed:.3f}s")
 
 
@@ -134,15 +135,13 @@ def test_criterion_03_family_scan_endpoints():
 
 def test_criterion_04_chi_pattern_and_additivity():
     with Stopwatch(1.0) as sw:
-        tri = normalize_triangle(WORKED)
-        pd = period_data(tri)
-        ct = cone_tables(tri)
-        assert [per_level_chi(ct, pd, n) for n in range(12)] == \
+        ct = cone_tables(normalize_triangle(WORKED))
+        assert [per_level_chi(ct, n) for n in range(12)] == \
             [1, -1, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0]
         for p, rmax in [(2, 2), (3, 1), (5, 1), (7, 0)]:
             for r in range(rmax + 1):
                 q = p**r
-                total = sum(per_level_chi(ct, pd, n)
+                total = sum(per_level_chi(ct, n)
                             for n in range(12 * q, 24 * q))
                 assert total == -2 * q, (p, r)
     report(4, f"chi pattern and window sums exact in {sw.elapsed:.3f}s")
@@ -161,7 +160,7 @@ def test_criterion_05_cech_consistency():
             l = m + rng.randint(1, 3 * pd.sigma)
             rep = cohomology_dims(ctx, ct, pd, m, l)
             assert rep.h0 - rep.h1 == sum(
-                per_level_chi(ct, pd, n) for n in range(m, l))
+                per_level_chi(ct, n) for n in range(m, l))
             flipped = cohomology_dims(ctx, ct, pd, m, l, policy="B")
             widened = cohomology_dims(ctx, ct, pd, m, l, slack=2 * pd.sigma)
             assert (rep.h0, rep.h1) == (flipped.h0, flipped.h1)

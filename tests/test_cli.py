@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -119,6 +120,25 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno}:{name}")
     assert offenders == []
+
+
+def test_package_has_no_stranded_private_functions():
+    # Every module-level private function must be referenced from the package
+    # outside its own body, so that no helper is left behind when its callers
+    # move out (for instance into the test oracles).
+    package = pathlib.Path(reeslab.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))]
+
+    def names(node):
+        return collections.Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+
+    everywhere = sum((names(tree) for tree in trees), collections.Counter())
+    stranded = [f"{fn.name}:{fn.lineno}" for tree in trees for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                and not fn.name.startswith("__")
+                and everywhere[fn.name] == names(fn)[fn.name]]
+    assert stranded == []
 
 
 @pytest.mark.parametrize("demo, line", [

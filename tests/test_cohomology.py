@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from reeslab import algebra
 from reeslab.algebra import (
-    OverlapDifferences,
     OverlapGaps,
     context_for,
     multiply,
@@ -39,6 +38,8 @@ from reeslab.errors import (
 from reeslab.fields import RATIONALS, FieldSpec
 from reeslab.geometry import cone_tables, emu_check, normalize_triangle, period_data
 
+from oracles import decompose_element
+
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
 
@@ -62,20 +63,20 @@ def family_triangle(g):
 
 def test_chi_pattern_worked_example():
     _, ct, pd = worked()
-    assert [per_level_chi(ct, pd, n) for n in range(12)] == \
+    assert [per_level_chi(ct, n) for n in range(12)] == \
         [1, -1, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0]
 
 
 def test_chi_is_periodic():
     _, ct, pd = worked()
     for n in range(60):
-        assert per_level_chi(ct, pd, n) == per_level_chi(ct, pd, n + pd.sigma)
+        assert per_level_chi(ct, n) == per_level_chi(ct, n + pd.sigma)
 
 
 def test_chi_level_zero_any_triangle():
     for verts in [WORKED, [(0, 0), (1, 0), (0, 1)]]:
         tri = normalize_triangle(verts)
-        assert per_level_chi(cone_tables(tri), period_data(tri), 0) == 1
+        assert per_level_chi(cone_tables(tri), 0) == 1
 
 
 def test_chi_window_sums():
@@ -83,7 +84,7 @@ def test_chi_window_sums():
     for p, rmax in [(2, 2), (3, 1), (5, 1), (7, 0)]:
         for r in range(rmax + 1):
             q = p**r
-            total = sum(per_level_chi(ct, pd, n) for n in range(12 * q, 24 * q))
+            total = sum(per_level_chi(ct, n) for n in range(12 * q, 24 * q))
             assert total == -2 * q
 
 
@@ -419,11 +420,11 @@ def test_overlap_lattice_exhaustive_window():
 
 
 def oracle_rows(tri, char, m, l, overlaps, policy):
-    """Gap residual of z - x at each overlap, one subspace_decompose per
-    row, in a fresh context so that no expansion cache is shared."""
+    """Gap residual of z - x at each overlap, one per-element decomposition
+    per row, in a fresh context so that no expansion cache is shared."""
     ctx, ct = context_for(tri, FieldSpec(char)), cone_tables(tri)
-    return [subspace_decompose(z_element(ctx, l, a, n) - x_basis(ctx, l, a, n),
-                               m, ct, policy=policy).gap_residual
+    return [decompose_element(z_element(ctx, l, a, n) - x_basis(ctx, l, a, n),
+                              m, ct, policy=policy).gap_residual
             for a, n in overlaps]
 
 
@@ -485,7 +486,7 @@ def test_window_sweep_at_a_large_prime(policy, monkeypatch):
 def test_family_result_answers_gap_residual():
     ctx, ct, pd = worked(5)
     rep = cohomology_dims(ctx, ct, pd, 12, 36)
-    gaps = subspace_decompose(OverlapDifferences(ctx, 36, rep.matrix.overlaps), 12, ct)
+    gaps = subspace_decompose(ctx, ct, 12, 36, rep.matrix.overlaps)
     assert isinstance(gaps, OverlapGaps)
     assert gaps.rows == rep.matrix.rows
     assert gaps.gap_residual == {(i, a, n): c for i, row in enumerate(rep.matrix.rows)
@@ -495,11 +496,12 @@ def test_family_result_answers_gap_residual():
 def test_window_sweep_rejects_a_negative_column():
     ctx, ct, _ = worked(5)
     with pytest.raises(InconsistencyError, match="column -"):
-        subspace_decompose(OverlapDifferences(ctx, 24, [(-5, 12)]), 12, ct)
+        subspace_decompose(ctx, ct, 12, 24, [(-5, 12)])
 
 
 def b2_check(tri):
-    return char0_b2_check(tri, emu_check(tri), cone_tables(tri), period_data(tri))
+    ct = cone_tables(tri)
+    return char0_b2_check(tri, emu_check(tri, ct), ct, period_data(tri))
 
 
 def test_b2_matches_emu_on_interior_family():

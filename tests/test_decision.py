@@ -36,21 +36,35 @@ def test_family_triangle_formula():
         family_triangle(F(1))
 
 
-def test_decide_char0_runs_emu_check_once(monkeypatch):
-    # The cross-check reuses decide's EmuReport, cone tables and period data.
-    # Like the benchmark tracer, wrap emu_check under every module name that
-    # holds it, so a second call from any layer is counted.
-    original = geometry.emu_check
+def count_calls(monkeypatch, name):
+    """Wrap geometry.<name> under every module name that holds it, like the
+    benchmark tracer, so that a call from any layer is counted."""
+    original = getattr(geometry, name)
     calls = []
 
-    def counting(tri):
-        calls.append(tri)
-        return original(tri)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("reeslab") and \
-                vars(mod).get("emu_check") is original:
-            monkeypatch.setattr(mod, "emu_check", counting)
+                vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_decide_char0_runs_emu_check_once(monkeypatch):
+    # The cross-check reuses decide's EmuReport, cone tables and period data.
+    calls = count_calls(monkeypatch, "emu_check")
+    for tri in (normalize_triangle(WORKED), family_triangle(F(5, 2))):
+        calls.clear()
+        decide(tri, FieldSpec(0))
+        assert len(calls) == 1
+
+
+def test_decide_char0_builds_cone_tables_once(monkeypatch):
+    # emu_check and the cross-check both read the tables decide builds.
+    calls = count_calls(monkeypatch, "cone_tables")
     for tri in (normalize_triangle(WORKED), family_triangle(F(5, 2))):
         calls.clear()
         decide(tri, FieldSpec(0))

@@ -35,6 +35,10 @@ WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 UNIT_RIGHT = [(0, 0), (1, 0), (0, 1)]
 
 
+def emu_of(tri):
+    return emu_check(tri, cone_tables(tri))
+
+
 def family_vertices(g):
     g = F(g)
     return [(g - 3, (3 - g) / 2), (g - 2, (2 - g) / 2), (0, 1)]
@@ -207,14 +211,14 @@ def emu_by_column_formula(tri):
 
 
 def test_emu_worked_example():
-    rep = emu_check(normalize_triangle(WORKED))
+    rep = emu_of(normalize_triangle(WORKED))
     assert rep.column_counts == (1, 1)
     assert rep.sorted_counts == (1, 1)
     assert not rep.holds
 
 
 def test_emu_family_member_five_halves():
-    rep = emu_check(normalize_triangle(family_vertices(F(5, 2))))
+    rep = emu_of(normalize_triangle(family_vertices(F(5, 2))))
     assert rep.column_counts == (2, 1)
     assert rep.sorted_counts == (1, 2)
     assert rep.holds
@@ -224,7 +228,7 @@ def test_emu_u_equals_one_is_automatic():
     for tri in [normalize_triangle(UNIT_RIGHT),
                 normalize_triangle([(F(-1, 2), F(1, 2)), (F(1, 2), F(-1, 2)), (0, 1)])]:
         assert tri.u == 1
-        assert emu_check(tri).holds
+        assert emu_of(tri).holds
 
 
 def test_emu_two_routes_agree_on_family_grid():
@@ -232,7 +236,7 @@ def test_emu_two_routes_agree_on_family_grid():
         for num in range(2 * den, 3 * den + 1):
             g = F(num, den)
             tri = normalize_triangle(family_vertices(g))
-            rep = emu_check(tri)
+            rep = emu_of(tri)
             holds2, counts2 = emu_by_column_formula(tri)
             assert rep.holds == holds2 and rep.column_counts == counts2
 
@@ -242,7 +246,7 @@ def test_emu_family_interior_interval():
     for den in range(1, 13):
         for num in range(2 * den + 1, 3 * den):
             g = F(num, den)
-            rep = emu_check(normalize_triangle(family_vertices(g)))
+            rep = emu_of(normalize_triangle(family_vertices(g)))
             assert rep.holds == (F(7, 3) <= g <= F(8, 3)), f"g={g}"
 
 
@@ -250,9 +254,9 @@ def test_emu_family_endpoints_are_degenerate():
     # At g=2 / g=3 one outer edge of the triangle is vertical; the sorted
     # column-count test is no longer equivalent to finite generation there
     # (the vertical edge contributes a full column of lattice points at g=2).
-    assert emu_check(normalize_triangle(family_vertices(2))).column_counts == (1, 3)
-    assert emu_check(normalize_triangle(family_vertices(2))).holds
-    assert not emu_check(normalize_triangle(family_vertices(3))).holds
+    assert emu_of(normalize_triangle(family_vertices(2))).column_counts == (1, 3)
+    assert emu_of(normalize_triangle(family_vertices(2))).holds
+    assert not emu_of(normalize_triangle(family_vertices(3))).holds
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +375,14 @@ def test_cone_tables_match_fraction_formula(tri):
 @given(normalized_triangles(), st.lists(st.integers(min_value=0, max_value=400),
                                         min_size=1, max_size=4))
 def test_cone_thresholds_decide_membership(tri, levels):
-    # The window sweep classifies a column alpha >= 0 at level n by the two
-    # thresholds alone, which needs a and b monotone at every column, not
-    # only inside the gap strip that overlaps_and_gaps re-checks.
+    # The window sweep and the factorization search classify a column alpha
+    # at level n by the two thresholds alone, which needs a and b monotone at
+    # every column, not only inside the gap strip that overlaps_and_gaps
+    # re-checks.  The search meets negative columns too.
     ct = cone_tables(tri)
     for n in levels + [0, 400]:
         col_a, col_b = ct.min_pa_col(n), ct.max_pb_col(n)
-        for alpha in range(0, 2 * n + 3):
+        for alpha in range(-n - 2, 2 * n + 3):
             assert (alpha >= col_a) == pa_member(ct, alpha, n), (alpha, n)
             assert (alpha <= col_b) == pb_member(ct, alpha, n), (alpha, n)
 
@@ -385,7 +390,7 @@ def test_cone_thresholds_decide_membership(tri, levels):
 @settings(max_examples=40, deadline=None)
 @given(width_one_triangles())
 def test_emu_routes_agree_random(tri):
-    rep = emu_check(tri)
+    rep = emu_of(tri)
     holds2, counts2 = emu_by_column_formula(tri)
     assert rep.holds == holds2 and rep.column_counts == counts2
 
@@ -397,7 +402,7 @@ def test_emu_counts_match_brute_force(tri):
     # companion triangle, at any width and with vertical edges.
     pts = brute_force_points(delta_prime(tri), 1)
     want = tuple(sum(1 for a, _ in pts if a == i) for i in range(1, tri.u + 1))
-    assert emu_check(tri).column_counts == want
+    assert emu_of(tri).column_counts == want
 
 
 # ---------------------------------------------------------------------------
