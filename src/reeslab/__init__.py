@@ -10,14 +10,12 @@ from .algebra import (
     invert_unit,
     multiply,
     subspace_decompose,
-    w_pow_expand,
     x_basis,
     xi_power,
     z_element,
 )
 from .cohomology import (
     CohomReport,
-    DSetReport,
     FactorizationOutcome,
     ObstructionMatrix,
     char0_b2_check,
@@ -34,6 +32,7 @@ from .decision import (
     ScanRow,
     SearchBounds,
     SuiteItem,
+    VERSION,
     Verdict,
     decide,
     family_triangle,
@@ -59,4 +58,4 @@ from .geometry import (
     toric_data,
 )
 
-__version__ = "0.1.0"
+__version__ = VERSION

@@ -233,10 +233,6 @@ def one(ctx: AlgebraContext, l: int) -> AlgebraElement:
     return x_basis(ctx, l, 0, 0)
 
 
-def zero(ctx: AlgebraContext, l: int) -> AlgebraElement:
-    return AlgebraElement(ctx, l, {})
-
-
 def _times_w_rows(ctx: AlgebraContext, l: int, rows: Rows) -> Rows:
     """rows * w, using w = 1 - x + vx and
     x(a,n)*vx = x(a+1,n+1)*w^d with d = ceil(a*ubar) - ceil((a+1)*ubar)."""
@@ -416,24 +412,6 @@ def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
                 rows = _times_w_rows(ctx, l, rows)
         ctx._wpow_cache[key] = rows
     return rows
-
-
-def w_pow_expand(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> AlgebraElement:
-    """Closed-form binomial expansion of x(alpha, n) * w^k (slope -1/2 only)."""
-    if (ctx.u2, ctx.u) != (1, 2):
-        raise ContextError("closed-form w powers require slope -1/2")
-    if not 0 <= n < l:
-        raise LevelError(f"basis level {n} outside [0, {l})")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    base = _lemma_w_rows(ctx, l, alpha % 2, k)
-    shift = alpha - alpha % 2
-    p = ctx.field.characteristic
-    rows: Rows = {}
-    for m, row in base.items():
-        if m + n < l:
-            _radd_row(rows, m + n, row, None, p, shift)
-    return AlgebraElement(ctx, l, rows)
 
 
 # ---------------------------------------------------------------------------

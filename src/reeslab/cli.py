@@ -78,12 +78,13 @@ def _bounds(args) -> SearchBounds:
 
 
 def _add_bounds_flags(sub):
-    sub.add_argument("--rmax", type=int, default=1)
-    sub.add_argument("--jmax", type=int, default=None)
-    sub.add_argument("--mmax", type=int, default=6)
-    sub.add_argument("--slack", type=int, default=None)
-    sub.add_argument("--policy", choices=("A", "B"), default="A")
-    sub.add_argument("--budget", type=int, default=SearchBounds().branch_budget)
+    default = SearchBounds()
+    sub.add_argument("--rmax", type=int, default=default.r_max)
+    sub.add_argument("--jmax", type=int, default=default.j_max)
+    sub.add_argument("--mmax", type=int, default=default.m_max)
+    sub.add_argument("--slack", type=int, default=default.slack)
+    sub.add_argument("--policy", choices=("A", "B"), default=default.policy)
+    sub.add_argument("--budget", type=int, default=default.branch_budget)
 
 
 def build_parser() -> _Parser:

@@ -1,19 +1,22 @@
-"""Two-chart cohomology of truncated restriction windows, and the
-multiplicative unit-factorization search.
+"""Two-chart cohomology of truncated restriction windows, the (r, j) witness
+windows, and the multiplicative unit-factorization search.
 
 For a window of levels [m, l) the global sections and the obstruction space
 are computed from a finite matrix: one row per overlap position k*(theta,
 sigma) in the window, the gap residual of the difference z - x at that
 position.  algebra.subspace_decompose reduces the differences of all
 overlaps of the window through the greedy two-cone decomposition in one
-ascending-level sweep; it takes the overlap positions directly (there is no
-OverlapDifferences wrapper).  The per-element reduction it is tested
-against lives in tests/oracles.py.  With r the rank over the base field,
+ascending-level sweep; the per-element reduction it is tested against lives
+in tests/oracles.py.  With r the rank over the base field,
 
     h0 = #overlaps - r,        h1 = #gaps - r,
 
 and h0 - h1 must equal the sum of per-level Euler characteristics, which is
 checked on every call.
+
+d_set alone spells the witness window [sigma*j*p^r, sigma*(j+1)*p^r) of
+the characteristic-p criteria; the decision procedure and the
+reference-example suite reach theirs through it.
 
 The factorization search decides cone membership by the same per-level
 thresholds as the sweep (ConeTables.min_pa_col and max_pb_col); the
@@ -23,6 +26,7 @@ per-position test pa_member only re-verifies a certificate it found.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -52,6 +56,7 @@ from .geometry import (
     PeriodData,
     overlaps_and_gaps,
     pa_member,
+    resolve_slack,
 )
 
 DEFAULT_BRANCH_BUDGET = 10_000
@@ -59,11 +64,7 @@ DEFAULT_BRANCH_BUDGET = 10_000
 
 def per_level_chi(ct: ConeTables, n: int) -> int:
     """Overlap count minus gap count at a single level, exactly."""
-    col_a = ct.min_pa_col(n)
-    col_b = ct.max_pb_col(n)
-    if col_a <= col_b:
-        return col_b - col_a + 1
-    return -(col_a - col_b - 1)
+    return ct.max_pb_col(n) - ct.min_pa_col(n) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,7 @@ def cohomology_dims(
     """Section and obstruction dimensions of the restriction window [m, l)."""
     if not 0 <= m < l:
         raise ValueError(f"need 0 <= m < l, got m={m}, l={l}")
-    if slack is None:
-        slack = pd.sigma
+    slack = resolve_slack(slack, pd.sigma)
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l, slack=slack)
     rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)
@@ -173,19 +173,7 @@ def cohomology_dims(
 
 
 # ---------------------------------------------------------------------------
-# Vanishing-witness sets in characteristic p
-
-
-@dataclass
-class DSetReport:
-    p: int
-    r: int
-    j: int
-    d_positions: list
-    count: int
-    meets_bound: bool
-    h0: int
-    report: CohomReport
+# The (r, j) witness windows in characteristic p
 
 
 def d_set(
@@ -197,11 +185,12 @@ def d_set(
     j: int,
     policy: str = "A",
     slack: Optional[int] = None,
-) -> DSetReport:
-    """Pivot gap positions of the window [sigma*j*p^r, sigma*(j+1)*p^r).
+) -> CohomReport:
+    """Report of the window [sigma*j*p^r, sigma*(j+1)*p^r).
 
-    Requires width 1 (sigma = theta + theta_prime); the obstruction space
-    vanishes in degree zero exactly when the pivot count reaches p^r.
+    Requires width 1 (sigma = theta + theta_prime), so the window holds
+    exactly p^r overlaps and h0 = p^r - rank: degree-zero sections vanish
+    exactly when the pivot gaps (matrix.pivot_gaps) number p^r.
     """
     if ctx.field.characteristic != p:
         raise ValueError(f"context characteristic {ctx.field.characteristic} != p={p}")
@@ -209,8 +198,6 @@ def d_set(
         raise WidthError("window analysis requires a width-1 triangle")
     if r < 0 or j < 1:
         raise ValueError("need r >= 0 and j >= 1")
-    import math
-
     if math.gcd(j, p) != 1:
         warnings.warn(f"j={j} is divisible by p={p}; the bound is uninformative")
     q = p**r
@@ -219,15 +206,7 @@ def d_set(
     if len(rep.matrix.overlaps) != q:
         raise InconsistencyError(
             f"window [{rep.m}, {rep.l}) has {len(rep.matrix.overlaps)} overlaps, expected {q}")
-    count = rep.matrix.rank
-    return DSetReport(
-        p=p, r=r, j=j,
-        d_positions=rep.matrix.pivot_gaps,
-        count=count,
-        meets_bound=count >= q,
-        h0=rep.h0,
-        report=rep,
-    )
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ Decision logic:
 * characteristic p with width < 1: always finitely generated;
 * characteristic p with width 1: a bounded search for a witness, first
   through unit factorizations at m = 1..m_max, then through vanishing
-  degree-zero cohomology on the windows indexed by (r, j).  A failed search
-  is reported as inconclusive, never as a negative.
+  degree-zero cohomology on the windows indexed by (r, j), each reached
+  through cohomology.d_set.  A failed search is reported as inconclusive,
+  never as a negative.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .cohomology import (
     DEFAULT_BRANCH_BUDGET,
     char0_b2_check,
     cohomology_dims,
+    d_set,
     factorization_search,
     per_level_chi,
 )
@@ -34,6 +36,7 @@ from .geometry import (
     emu_check,
     normalize_triangle,
     period_data,
+    resolve_slack,
     toric_data,
 )
 
@@ -83,15 +86,6 @@ class SearchBounds:
         }
 
 
-def resolve_slack(bounds: SearchBounds, sigma: int) -> int:
-    """An explicit bound (at least sigma) wins; otherwise sigma."""
-    if bounds.slack is None:
-        return sigma
-    if bounds.slack < sigma:
-        raise RangeError(f"slack {bounds.slack} is below sigma={sigma}")
-    return bounds.slack
-
-
 @dataclass
 class Verdict:
     status: str
@@ -122,7 +116,7 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
     """Decide finite generation, or search for a bounded witness."""
     p = field.characteristic
     pd = period_data(tri)
-    slack = resolve_slack(bounds, pd.sigma)
+    slack = resolve_slack(bounds.slack, pd.sigma)
 
     if p == 0:
         ct = cone_tables(tri)
@@ -167,11 +161,8 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
 
     j_values = [1] + [j for j in range(2, bounds.resolve_j_max(p) + 1) if j % p]
     for r in range(bounds.r_max + 1):
-        q = p**r
         for j in j_values:
-            rep = cohomology_dims(ctx, ct, pd, pd.sigma * j * q,
-                                  pd.sigma * (j + 1) * q,
-                                  policy=bounds.policy, slack=slack)
+            rep = d_set(ctx, ct, pd, p, r, j, policy=bounds.policy, slack=slack)
             probes.append(rep.to_dict())
             if rep.h0 > 0:
                 # Emission re-check: doubled scan margin and the flipped
@@ -340,16 +331,15 @@ def reference_example_suite() -> list[SuiteItem]:
     details = []
     ctx5 = AlgebraContext(tri.u2, tri.u, FieldSpec(5))
     for r in (0, 1):
-        q = 5**r
-        rep = cohomology_dims(ctx5, ct, pd, 12 * q, 24 * q)
-        ok = ok and rep.h0 == 0 and rep.matrix.rank == q
+        rep = d_set(ctx5, ct, pd, 5, r, 1)
+        ok = ok and rep.h0 == 0 and rep.matrix.rank == 5**r
         details.append(f"r={r}: h0={rep.h0} pivots={rep.matrix.rank}")
     check("f: char 5 vanishing", ok, "; ".join(details))
 
     # (g) characteristic 7, first window: no sections; the obstruction row
     # leads at the level-13 gap and also carries the level-20 gap.
     ctx7 = AlgebraContext(tri.u2, tri.u, FieldSpec(7))
-    rep7 = cohomology_dims(ctx7, ct, pd, 12, 24)
+    rep7 = d_set(ctx7, ct, pd, 7, 0, 1)
     row = rep7.matrix.rows[0] if rep7.matrix.rows else {}
     check("g: char 7 window",
           rep7.h0 == 0 and rep7.matrix.pivot_gaps == [(11, 13)]

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .errors import (
     ClaimViolation,
     DegenerateError,
+    RangeError,
     ShapeError,
     SlopeError,
     TriangleFileError,
@@ -273,15 +274,12 @@ class ConeTables:
             col = self._pa_cache[n] = _first_reaching(self.a, n)
         return col
 
-    def max_pb_i(self, n: int) -> int:
-        """Largest i <= 0 with b(i) >= n+1 (so P_B covers columns <= n + i)."""
-        i = self._pb_cache.get(n)
-        if i is None:
-            i = self._pb_cache[n] = -_first_reaching(lambda k: self.b(-k), n)
-        return i
-
     def max_pb_col(self, n: int) -> int:
-        return n + self.max_pb_i(n)
+        """Largest column n + i, i <= 0, with b(i) >= n+1."""
+        col = self._pb_cache.get(n)
+        if col is None:
+            col = self._pb_cache[n] = n - _first_reaching(lambda k: self.b(-k), n)
+        return col
 
 
 def cone_tables(tri: NormalizedTriangle) -> ConeTables:
@@ -294,6 +292,16 @@ def pa_member(ct: ConeTables, alpha: int, n: int) -> bool:
 
 def pb_member(ct: ConeTables, alpha: int, n: int) -> bool:
     return n >= 0 and ct.b(alpha - n) >= n + 1
+
+
+def resolve_slack(slack: Optional[int], sigma: int) -> int:
+    """The verification margin of the gap scan: sigma unless set, and
+    never below sigma."""
+    if slack is None:
+        return sigma
+    if slack < sigma:
+        raise RangeError(f"slack {slack} is below sigma={sigma}")
+    return slack
 
 
 def overlaps_and_gaps(
@@ -313,8 +321,7 @@ def overlaps_and_gaps(
     if not 0 <= m < l:
         raise ValueError(f"need 0 <= m < l, got m={m}, l={l}")
     sigma, theta = pd.sigma, pd.theta
-    if slack is None:
-        slack = sigma
+    slack = resolve_slack(slack, sigma)
     overlaps = [
         (k * theta, k * sigma)
         for k in range(-(-m // sigma), -(-l // sigma))

@@ -8,6 +8,10 @@
   and returns a certificate that re-expands to its input.  It checks the
   window sweep algebra.subspace_decompose, row by row.
 
+lemma_w_element is not a route of its own: it shifts the slope -1/2 closed
+form algebra._lemma_w_rows to x(alpha, n) * w^k, so that the tests can check
+that closed form against generic multiplication.
+
 No module of reeslab uses these routes.
 """
 
@@ -21,17 +25,30 @@ from reeslab.algebra import (
     _check_same,
     _comb,
     _field_series,
+    _lemma_w_rows,
     _radd,
     _radd_row,
     _z_rows_base,
     x_basis,
     z_element,
-    zero,
 )
 from reeslab.errors import LevelError, NotInF
 from reeslab.geometry import ConeTables, pa_member, pb_member
 
 Rows = dict  # level -> {column -> coefficient}
+
+
+def lemma_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> AlgebraElement:
+    """x(alpha, n) * w^k at slope -1/2: the rows of x(alpha mod 2, 0) * w^k
+    from _lemma_w_rows, moved up n levels and over alpha - alpha mod 2
+    columns."""
+    p = ctx.field.characteristic
+    rows: Rows = {}
+    for lvl, row in _lemma_w_rows(ctx, l, alpha % 2, k).items():
+        if lvl + n < l:
+            _radd_row(rows, lvl + n, row, None, p, alpha - alpha % 2)
+    return AlgebraElement(ctx, l, rows)
+
 
 # ---------------------------------------------------------------------------
 # Laurent-polynomial model (an independent multiplication oracle)
@@ -156,7 +173,7 @@ class DecompositionCertificate:
     gap_residual: dict
 
     def reexpand(self) -> AlgebraElement:
-        out = zero(self.ctx, self.level)
+        out = AlgebraElement(self.ctx, self.level, {})
         for (a, n), c in sorted(self.a_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
         for (a, n), c in sorted(self.b_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):

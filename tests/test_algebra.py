@@ -19,17 +19,21 @@ from reeslab.algebra import (
     multiply,
     one,
     w_element,
-    w_pow_expand,
     x_basis,
     xi_power,
     z_element,
-    zero,
 )
-from reeslab.errors import ContextError, ContextMismatch, LevelError, NotAUnit
+from reeslab.errors import ContextMismatch, LevelError, NotAUnit
 from reeslab.fields import RATIONALS, FieldSpec
 from reeslab.geometry import cone_tables, normalize_triangle
 
-from oracles import canonicalize_from_laurent, decompose_element, laurent_multiply, to_laurent
+from oracles import (
+    canonicalize_from_laurent,
+    decompose_element,
+    laurent_multiply,
+    lemma_w_element,
+    to_laurent,
+)
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -42,7 +46,7 @@ CTX_FLAT_Q = AlgebraContext(0, 1, RATIONALS)     # slope 0
 
 
 def elem(ctx, l, terms):
-    out = zero(ctx, l)
+    out = AlgebraElement(ctx, l, {})
     for (a, n), c in terms.items():
         out = out + x_basis(ctx, l, a, n).scaled(ctx.field.of_fraction(F(c)))
     return out
@@ -230,7 +234,7 @@ def test_invert_identity():
 def test_invert_one_minus_x():
     for l in (1, 2, 5, 9):
         e = elem(CTX_Q, l, {(0, 0): 1}) - (
-            x_basis(CTX_Q, l, 0, 1) if l > 1 else zero(CTX_Q, l))
+            x_basis(CTX_Q, l, 0, 1) if l > 1 else AlgebraElement(CTX_Q, l, {}))
         assert multiply(e, invert_unit(e)) == one(CTX_Q, l)
 
 
@@ -246,7 +250,7 @@ def test_invert_rejects_non_units():
     with pytest.raises(NotAUnit):
         invert_unit(x_basis(CTX_Q, 4, 2, 0))
     with pytest.raises(NotAUnit):
-        invert_unit(zero(CTX_Q, 4))
+        invert_unit(AlgebraElement(CTX_Q, 4, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +393,14 @@ def test_xi_power_flat_slope_is_a_binomial():
 # closed-form w powers
 
 
-def test_w_pow_expand_requires_half_slope():
-    with pytest.raises(ContextError):
-        w_pow_expand(CTX_STEEP_Q, 6, 0, 0, 2)
-
-
 def test_w_pow_expand_k1_forms():
     l = 8
     w = w_element(CTX_Q, l)
     for alpha in (-2, 0, 4):  # even
-        got = w_pow_expand(CTX_Q, l, alpha, 1, 1)
+        got = lemma_w_element(CTX_Q, l, alpha, 1, 1)
         assert got == multiply(x_basis(CTX_Q, l, alpha, 1), w)
     for alpha in (-3, 1, 5):  # odd
-        got = w_pow_expand(CTX_Q, l, alpha, 1, 1)
+        got = lemma_w_element(CTX_Q, l, alpha, 1, 1)
         assert got == multiply(x_basis(CTX_Q, l, alpha, 1), w)
 
 
@@ -414,7 +413,7 @@ def test_w_pow_expand_matches_generic_multiplication():
                 w = w_element(ctx, l)
                 for k in range(1, 7):
                     wk = multiply(wk, w)
-                    got = w_pow_expand(ctx, l, alpha, n, k)
+                    got = lemma_w_element(ctx, l, alpha, n, k)
                     assert got == multiply(x_basis(ctx, l, alpha, n), wk), (alpha, n, k)
 
 
@@ -429,7 +428,7 @@ def worked_context(field=RATIONALS):
 
 def test_decompose_zero():
     ctx, ct = worked_context()
-    cert = decompose_element(zero(ctx, 4), 0, ct)
+    cert = decompose_element(AlgebraElement(ctx, 4, {}), 0, ct)
     assert not cert.a_part and not cert.b_part and not cert.gap_residual
 
 

@@ -5,13 +5,15 @@ import collections
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import reeslab
-from reeslab.cli import canonical_json, main
+from reeslab.cli import _bounds, build_parser, canonical_json, main
+from reeslab.decision import SearchBounds
 
 WORKED_FILE = """\
 # the width-1 reference triangle
@@ -88,6 +90,25 @@ def test_invalid_search_bounds_exit_code(worked_file, capsys):
     assert "r_max" in capsys.readouterr().err
 
 
+def test_cohomology_slack_below_sigma_exit_code(worked_file, capsys):
+    assert main(["cohomology", "--input", worked_file, "--char", "5",
+                 "--m", "12", "--l", "24", "--slack", "-1000"]) == 1
+    assert "slack -1000 is below sigma=12" in capsys.readouterr().err
+
+
+def test_bounds_flags_default_to_search_bounds():
+    args = build_parser().parse_args(["analyze", "--input", "t.txt", "--char", "5"])
+    assert _bounds(args) == SearchBounds()
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    found = re.search(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"),
+                      re.MULTILINE)
+    assert found and found.group(1) == reeslab.__version__
+
+
 def test_package_has_no_assert_statements():
     # Invariants must hold under python -O, which strips assert statements;
     # a violated invariant raises an InternalError subclass (exit code 2).
@@ -122,23 +143,42 @@ def test_package_has_no_unused_imports():
     assert offenders == []
 
 
+def _package_trees() -> dict:
+    package = pathlib.Path(reeslab.__file__).parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def _unreferenced(trees: dict, selected) -> list:
+    """Module-level functions and classes whose name passes selected and is
+    referenced nowhere in the package outside their own body."""
+    def names(node):
+        return collections.Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+
+    everywhere = sum((names(tree) for tree in trees.values()), collections.Counter())
+    return [f"{node.name}:{node.lineno}" for tree in trees.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and selected(node.name)
+            and everywhere[node.name] == names(node)[node.name]]
+
+
 def test_package_has_no_stranded_private_functions():
     # Every module-level private function must be referenced from the package
     # outside its own body, so that no helper is left behind when its callers
     # move out (for instance into the test oracles).
-    package = pathlib.Path(reeslab.__file__).parent
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))]
-
-    def names(node):
-        return collections.Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
-
-    everywhere = sum((names(tree) for tree in trees), collections.Counter())
-    stranded = [f"{fn.name}:{fn.lineno}" for tree in trees for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-                and not fn.name.startswith("__")
-                and everywhere[fn.name] == names(fn)[fn.name]]
+    stranded = _unreferenced(_package_trees(),
+                             lambda name: name.startswith("_") and not name.startswith("__"))
     assert stranded == []
+
+
+def test_package_has_no_orphaned_public_names():
+    # Every module-level public function or class must be exported by
+    # __init__.py or referenced from the package outside its own body, so
+    # that no public name survives only as test surface.
+    trees = _package_trees()
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    orphans = _unreferenced(trees, lambda name: not name.startswith("_") and name not in exported)
+    assert orphans == []
 
 
 @pytest.mark.parametrize("demo, line", [

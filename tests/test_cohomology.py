@@ -256,19 +256,19 @@ def test_report_serialization_fields():
 def test_d_set_char5():
     ctx, ct, pd = worked(5)
     ds = d_set(ctx, ct, pd, 5, 1, 1)
-    assert ds.count == 5 and ds.meets_bound and ds.h0 == 0
-    assert set(ds.d_positions) == {
+    assert ds.matrix.rank == 5 and ds.h0 == 0
+    assert set(ds.matrix.pivot_gaps) == {
         (61, 73), (71, 85), (81, 97), (91, 109), (55, 66)}
 
 
 def test_d_set_char7_r0():
     ctx, ct, pd = worked(7)
     ds = d_set(ctx, ct, pd, 7, 0, 1)
-    assert ds.h0 == 0 and ds.meets_bound and ds.count == 1
+    assert ds.h0 == 0 and ds.matrix.rank == 1
     # The single obstruction row leads at the lowest-level gap (11, 13); the
     # level-20 gap (17, 20) also appears in its support but is not a pivot.
-    assert ds.d_positions == [(11, 13)]
-    row = ds.report.matrix.rows[0]
+    assert ds.matrix.pivot_gaps == [(11, 13)]
+    row = ds.matrix.rows[0]
     assert set(row) == {(11, 13), (17, 20)}
     assert row[(11, 13)] == 6 % 7
 
@@ -279,8 +279,8 @@ def test_d_set_char7_r1():
     # reaching the required p^1 = 7 pivots.
     ctx, ct, pd = worked(7)
     ds = d_set(ctx, ct, pd, 7, 1, 1)
-    assert ds.h0 == 0 and ds.count == 7 and ds.meets_bound
-    assert ds.d_positions == [(77, 92), (81, 97), (91, 109), (101, 121),
+    assert ds.h0 == 0 and ds.matrix.rank == 7
+    assert ds.matrix.pivot_gaps == [(77, 92), (81, 97), (91, 109), (101, 121),
                               (111, 133), (121, 145), (131, 157)]
 
 
@@ -289,7 +289,7 @@ def test_d_set_char11_r0():
     tri = normalize_triangle(WORKED)
     ctx = context_for(tri, FieldSpec(11))
     ds = d_set(ctx, cone_tables(tri), period_data(tri), 11, 0, 1)
-    assert ds.h0 == 0 and ds.meets_bound
+    assert ds.h0 == 0 and ds.matrix.rank == 1
 
 
 def test_d_set_rejects_narrow_triangle():

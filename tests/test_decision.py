@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from reeslab import geometry
+from reeslab.algebra import context_for
+from reeslab.cohomology import d_set
 from reeslab.decision import (
     FG_EXACT,
     FG_WITNESS,
@@ -16,12 +18,11 @@ from reeslab.decision import (
     factorize_integer,
     family_triangle,
     reference_example_suite,
-    resolve_slack,
     scan_family,
 )
 from reeslab.errors import RangeError
 from reeslab.fields import FieldSpec
-from reeslab.geometry import normalize_triangle
+from reeslab.geometry import cone_tables, normalize_triangle, period_data, resolve_slack
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -103,6 +104,17 @@ def test_decide_char5_bounded_negative():
     assert len(searches) == 6 and not any(p["success"] for p in searches)
 
 
+def test_decide_probes_its_windows_through_d_set():
+    # After the one factorization probe, decide's window probes are the
+    # d_set reports of every (r, j), in order.
+    tri = normalize_triangle(WORKED)
+    v = decide(tri, FieldSpec(5), SearchBounds(m_max=1))
+    ctx, ct, pd = context_for(tri, FieldSpec(5)), cone_tables(tri), period_data(tri)
+    assert v.probes[0]["kind"] == "A4"
+    assert v.probes[1:] == [d_set(ctx, ct, pd, 5, r, j).to_dict()
+                            for r in (0, 1) for j in (1, 2, 3, 4)]
+
+
 def test_decide_never_negative_in_char_p():
     for p in (2, 3, 5, 7):
         v = decide(normalize_triangle(WORKED), FieldSpec(p),
@@ -164,11 +176,11 @@ def test_scan_family_rejects_out_of_range():
 
 def test_resolve_slack_env():
     # The slack is sigma unless set explicitly, and never below sigma.
-    assert resolve_slack(SearchBounds(), 12) == 12
-    assert resolve_slack(SearchBounds(slack=12), 12) == 12
-    assert resolve_slack(SearchBounds(slack=24), 12) == 24
+    assert resolve_slack(None, 12) == 12
+    assert resolve_slack(12, 12) == 12
+    assert resolve_slack(24, 12) == 24
     with pytest.raises(RangeError):
-        resolve_slack(SearchBounds(slack=5), 12)
+        resolve_slack(5, 12)
 
 
 def test_search_bounds_jmax_defaults():
