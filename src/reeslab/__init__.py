@@ -20,7 +20,6 @@ from .cohomology import (
     ObstructionMatrix,
     char0_b2_check,
     cohomology_dims,
-    d_set,
     factorization_search,
     per_level_chi,
 )
@@ -34,6 +33,7 @@ from .decision import (
     SuiteItem,
     VERSION,
     Verdict,
+    d_set,
     decide,
     family_triangle,
     reference_example_suite,

@@ -51,6 +51,7 @@ from .errors import (
     LevelError,
     NotAUnit,
     NotInF,
+    RangeError,
 )
 from .fields import FieldSpec, coeff_str
 from .geometry import ConeTables
@@ -67,7 +68,6 @@ class AlgebraContext:
         self.u2 = u2
         self.u = u
         self.field = field
-        self._wpow_cache: dict = {}
         self._z_cache: dict = {}
         self._z_levels: dict = {}    # (alpha0, l) -> sorted n in _z_cache
         self._series_cache: dict = {}
@@ -391,26 +391,25 @@ def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
 
 
 def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
-    """Cached rows of x(alpha0, 0) * w^k for a column alpha0 in [0, u).
+    """Rows of x(alpha0, 0) * w^k for a column alpha0 in [0, u).
 
     Slope -1/2 takes the closed form of _lemma_w_rows; the generic loop of
     w-products serves every other slope.  The benchmark keeps both routes,
     and keeps seeding z from these rows: one pass over the search-p op list
     (seed 1, CPython 3.11, 2-core Xeon) took 30-36 s under cProfile with
     the generic loop for every slope against 7-8 s, and 20 s unprofiled
-    when z was only ever stepped up from level 0 against 2.3 s."""
+    when z was only ever stepped up from level 0 against 2.3 s.
+
+    Uncached: _z_rows_base builds z from scratch only below every cached
+    level of (alpha0, l), so a key (alpha0, k, l) does not recur; a cache
+    here was hit 0 times in the 863 calls of the seed-1 benchmark op lists."""
     if k < 0:
         raise ValueError("w power must be nonnegative here")
-    key = (alpha0, k, l)
-    rows = ctx._wpow_cache.get(key)
-    if rows is None:
-        if ctx.u == 2 and ctx.u2 == 1:
-            rows = _lemma_w_rows(ctx, l, alpha0, k)
-        else:
-            rows = {0: {alpha0: ctx.field.of_int(1)}}
-            for _ in range(k):
-                rows = _times_w_rows(ctx, l, rows)
-        ctx._wpow_cache[key] = rows
+    if ctx.u == 2 and ctx.u2 == 1:
+        return _lemma_w_rows(ctx, l, alpha0, k)
+    rows = {0: {alpha0: ctx.field.of_int(1)}}
+    for _ in range(k):
+        rows = _times_w_rows(ctx, l, rows)
     return rows
 
 
@@ -570,7 +569,7 @@ def subspace_decompose(
     result.  All rows are reduced together in one sweep (_overlap_gap_rows).
     """
     if policy not in ("A", "B"):
-        raise ValueError(f"policy must be 'A' or 'B', got {policy!r}")
+        raise RangeError(f"policy must be 'A' or 'B', got {policy!r}")
     return OverlapGaps(_overlap_gap_rows(ctx, ct, m, l, overlaps, policy))
 
 

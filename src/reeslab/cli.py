@@ -59,22 +59,9 @@ def _load_triangle(path):
     return normalize_triangle(read_triangle_file(path))
 
 
-def _field(char: int) -> FieldSpec:
-    try:
-        return FieldSpec(char)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
 def _bounds(args) -> SearchBounds:
-    return SearchBounds(
-        r_max=args.rmax,
-        j_max=args.jmax,
-        m_max=args.mmax,
-        branch_budget=args.budget,
-        slack=args.slack,
-        policy=args.policy,
-    )
+    return SearchBounds(r_max=args.rmax, j_max=args.jmax, m_max=args.mmax,
+                        branch_budget=args.budget)
 
 
 def _add_bounds_flags(sub):
@@ -82,8 +69,6 @@ def _add_bounds_flags(sub):
     sub.add_argument("--rmax", type=int, default=default.r_max)
     sub.add_argument("--jmax", type=int, default=default.j_max)
     sub.add_argument("--mmax", type=int, default=default.m_max)
-    sub.add_argument("--slack", type=int, default=default.slack)
-    sub.add_argument("--policy", choices=("A", "B"), default=default.policy)
     sub.add_argument("--budget", type=int, default=default.branch_budget)
 
 
@@ -98,7 +83,6 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("scan", help="scan the one-parameter family")
-    p.add_argument("--family", default="g", choices=("g",))
     p.add_argument("--from", dest="start", default="2")
     p.add_argument("--to", dest="stop", default="3")
     p.add_argument("--step", default="1/24")
@@ -109,8 +93,6 @@ def build_parser() -> _Parser:
     p.add_argument("--char", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--policy", choices=("A", "B"), default="A")
-    p.add_argument("--slack", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("factorize", help="search a unit factorization at one m")
@@ -126,7 +108,7 @@ def build_parser() -> _Parser:
 
 def _cmd_analyze(args) -> int:
     tri = _load_triangle(args.input)
-    verdict = decide(tri, _field(args.char), _bounds(args))
+    verdict = decide(tri, FieldSpec(args.char), _bounds(args))
     report = {
         "triangle": _triangle_dict(tri),
         "char": args.char,
@@ -161,7 +143,7 @@ def _cmd_scan(args) -> int:
     while g <= stop:
         values.append(g)
         g += step
-    rows = scan_family(values, _field(args.char))
+    rows = scan_family(values, FieldSpec(args.char))
     width = max(len(str(r.g)) for r in rows)
     for row in rows:
         print(f"g = {str(row.g):<{width}}  {row.status}")
@@ -170,9 +152,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     tri = _load_triangle(args.input)
-    ctx = AlgebraContext(tri.u2, tri.u, _field(args.char))
-    rep = cohomology_dims(ctx, cone_tables(tri), period_data(tri),
-                          args.m, args.l, policy=args.policy, slack=args.slack)
+    ctx = AlgebraContext(tri.u2, tri.u, FieldSpec(args.char))
+    rep = cohomology_dims(ctx, cone_tables(tri), period_data(tri), args.m, args.l)
     if args.json:
         print(canonical_json(rep.to_dict()))
     else:
@@ -186,7 +167,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_factorize(args) -> int:
     tri = _load_triangle(args.input)
-    ctx = AlgebraContext(tri.u2, tri.u, _field(args.char))
+    ctx = AlgebraContext(tri.u2, tri.u, FieldSpec(args.char))
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), args.m,
                                branch_budget=args.budget)
     if args.json:

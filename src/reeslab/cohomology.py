@@ -1,5 +1,5 @@
-"""Two-chart cohomology of truncated restriction windows, the (r, j) witness
-windows, and the multiplicative unit-factorization search.
+"""Two-chart cohomology of truncated restriction windows and the
+multiplicative unit-factorization search.
 
 For a window of levels [m, l) the global sections and the obstruction space
 are computed from a finite matrix: one row per overlap position k*(theta,
@@ -14,9 +14,9 @@ in tests/oracles.py.  With r the rank over the base field,
 and h0 - h1 must equal the sum of per-level Euler characteristics, which is
 checked on every call.
 
-d_set alone spells the witness window [sigma*j*p^r, sigma*(j+1)*p^r) of
-the characteristic-p criteria; the decision procedure and the
-reference-example suite reach theirs through it.
+The (r, j) witness windows of the characteristic-p criteria are spelled
+once, by decision.d_set, which also runs the emission re-check of every
+window it finds with h0 > 0 (policy B at twice the scan margin).
 
 The factorization search decides cone membership by the same per-level
 thresholds as the sweep (ConeTables.min_pa_col and max_pb_col); the
@@ -26,8 +26,6 @@ per-position test pa_member only re-verifies a certificate it found.
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,8 +44,9 @@ from .errors import (
     BudgetExceeded,
     ClaimViolation,
     InconsistencyError,
+    LevelError,
+    RangeError,
     TheoremViolation,
-    WidthError,
 )
 from .fields import FieldSpec, coeff_str
 from .geometry import (
@@ -149,7 +148,7 @@ def cohomology_dims(
 ) -> CohomReport:
     """Section and obstruction dimensions of the restriction window [m, l)."""
     if not 0 <= m < l:
-        raise ValueError(f"need 0 <= m < l, got m={m}, l={l}")
+        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     slack = resolve_slack(slack, pd.sigma)
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l, slack=slack)
     rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
@@ -170,43 +169,6 @@ def cohomology_dims(
             rank=rank, pivot_gaps=pivot_gaps,
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# The (r, j) witness windows in characteristic p
-
-
-def d_set(
-    ctx: AlgebraContext,
-    ct: ConeTables,
-    pd: PeriodData,
-    p: int,
-    r: int,
-    j: int,
-    policy: str = "A",
-    slack: Optional[int] = None,
-) -> CohomReport:
-    """Report of the window [sigma*j*p^r, sigma*(j+1)*p^r).
-
-    Requires width 1 (sigma = theta + theta_prime), so the window holds
-    exactly p^r overlaps and h0 = p^r - rank: degree-zero sections vanish
-    exactly when the pivot gaps (matrix.pivot_gaps) number p^r.
-    """
-    if ctx.field.characteristic != p:
-        raise ValueError(f"context characteristic {ctx.field.characteristic} != p={p}")
-    if pd.theta + pd.theta_prime != pd.sigma:
-        raise WidthError("window analysis requires a width-1 triangle")
-    if r < 0 or j < 1:
-        raise ValueError("need r >= 0 and j >= 1")
-    if math.gcd(j, p) != 1:
-        warnings.warn(f"j={j} is divisible by p={p}; the bound is uninformative")
-    q = p**r
-    rep = cohomology_dims(ctx, ct, pd, pd.sigma * j * q, pd.sigma * (j + 1) * q,
-                          policy=policy, slack=slack)
-    if len(rep.matrix.overlaps) != q:
-        raise InconsistencyError(
-            f"window [{rep.m}, {rep.l}) has {len(rep.matrix.overlaps)} overlaps, expected {q}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +228,7 @@ def factorization_search(
     product from scratch.
     """
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise RangeError("m must be a positive integer")
     l = m * ctx.u
     fld = ctx.field
     target = xi_power(ctx, l, m)

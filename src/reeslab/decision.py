@@ -8,13 +8,21 @@ Decision logic:
 * characteristic p with width < 1: always finitely generated;
 * characteristic p with width 1: a bounded search for a witness, first
   through unit factorizations at m = 1..m_max, then through vanishing
-  degree-zero cohomology on the windows indexed by (r, j), each reached
-  through cohomology.d_set.  A failed search is reported as inconclusive,
-  never as a negative.
+  degree-zero cohomology on the windows indexed by (r, j).  A failed
+  search is reported as inconclusive, never as a negative.
+
+d_set alone spells the witness window [sigma*j*p^r, sigma*(j+1)*p^r); the
+decision procedure and the reference-example suite reach theirs through
+it.  d_set also owns the emission re-check: a window with h0 > 0 is
+computed a second time under the other overlap routing (policy B) at twice
+the scan margin, and must give the same dimensions, so decide picks no
+routing policy and no scan margin itself.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,21 +30,22 @@ from typing import Optional
 from .algebra import AlgebraContext
 from .cohomology import (
     DEFAULT_BRANCH_BUDGET,
+    CohomReport,
     char0_b2_check,
     cohomology_dims,
-    d_set,
     factorization_search,
     per_level_chi,
 )
-from .errors import InconsistencyError, RangeError, ReesLabError
+from .errors import ContextError, InconsistencyError, RangeError, ReesLabError, WidthError
 from .fields import FieldSpec
 from .geometry import (
+    ConeTables,
     NormalizedTriangle,
+    PeriodData,
     cone_tables,
     emu_check,
     normalize_triangle,
     period_data,
-    resolve_slack,
     toric_data,
 )
 
@@ -56,8 +65,6 @@ class SearchBounds:
     j_max: Optional[int] = None      # default: p-1 in char p, 1 otherwise
     m_max: int = 6
     branch_budget: int = DEFAULT_BRANCH_BUDGET
-    slack: Optional[int] = None
-    policy: str = "A"
 
     def __post_init__(self):
         if self.r_max < 0:
@@ -68,8 +75,6 @@ class SearchBounds:
             raise RangeError(f"branch_budget must be >= 1, got {self.branch_budget}")
         if self.j_max is not None and self.j_max < 1:
             raise RangeError(f"j_max must be >= 1, got {self.j_max}")
-        if self.policy not in ("A", "B"):
-            raise RangeError(f"policy must be 'A' or 'B', got {self.policy!r}")
 
     def resolve_j_max(self, p: int) -> int:
         if self.j_max is not None:
@@ -82,7 +87,7 @@ class SearchBounds:
             "j_max": self.resolve_j_max(p),
             "m_max": self.m_max,
             "branch_budget": self.branch_budget,
-            "policy": self.policy,
+            "policy": "A",   # the routing of every primary window (see d_set)
         }
 
 
@@ -111,38 +116,61 @@ def _emu_dict(rep) -> dict:
     }
 
 
+def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -> CohomReport:
+    """Report of the window [sigma*j*p^r, sigma*(j+1)*p^r), p the
+    characteristic of ctx, under policy A at slack sigma.
+
+    Requires width 1 (sigma = theta + theta_prime), so the window holds
+    exactly p^r overlaps and h0 = p^r - rank: degree-zero sections vanish
+    exactly when the pivot gaps (matrix.pivot_gaps) number p^r.  A window
+    with h0 > 0 is a witness, and is re-checked at once under policy B at
+    slack 2*sigma; differing dimensions raise InconsistencyError.
+    """
+    p = ctx.field.characteristic
+    if not p:
+        raise ContextError("witness windows need a positive characteristic")
+    if pd.theta + pd.theta_prime != pd.sigma:
+        raise WidthError("window analysis requires a width-1 triangle")
+    if r < 0 or j < 1:
+        raise RangeError("need r >= 0 and j >= 1")
+    if math.gcd(j, p) != 1:
+        warnings.warn(f"j={j} is divisible by p={p}; the bound is uninformative")
+    q = p**r
+    rep = cohomology_dims(ctx, ct, pd, pd.sigma * j * q, pd.sigma * (j + 1) * q)
+    if len(rep.matrix.overlaps) != q:
+        raise InconsistencyError(
+            f"window [{rep.m}, {rep.l}) has {len(rep.matrix.overlaps)} overlaps, expected {q}")
+    if rep.h0 > 0:
+        recheck = cohomology_dims(ctx, ct, pd, rep.m, rep.l, policy="B", slack=2 * pd.sigma)
+        if (recheck.h0, recheck.h1) != (rep.h0, rep.h1):
+            raise InconsistencyError(
+                f"witness window [{rep.m}, {rep.l}) failed its policy-B re-check")
+    return rep
+
+
 def decide(tri: NormalizedTriangle, field: FieldSpec,
            bounds: SearchBounds = SearchBounds()) -> Verdict:
     """Decide finite generation, or search for a bounded witness."""
     p = field.characteristic
     pd = period_data(tri)
-    slack = resolve_slack(bounds.slack, pd.sigma)
+    probes: list[dict] = []
+    limits = bounds.to_dict(p)
+
+    def verdict(status, witness=None, emu=None):
+        return Verdict(status, witness, emu, probes, limits)
 
     if p == 0:
         ct = cone_tables(tri)
         emu = emu_check(tri, ct)
         # Raises TheoremViolation when unit factorization disagrees.
         char0_b2_check(tri, emu, ct, pd, branch_budget=bounds.branch_budget)
-        return Verdict(
-            status=FG_EXACT if emu.holds else NOT_FG_EXACT,
-            witness=None,
-            emu=_emu_dict(emu),
-            probes=[],
-            bounds=bounds.to_dict(p),
-        )
+        return verdict(FG_EXACT if emu.holds else NOT_FG_EXACT, emu=_emu_dict(emu))
 
     if tri.width < 1:
-        return Verdict(
-            status=FG_EXACT,
-            witness={"kind": "narrow-width", "width": str(tri.width)},
-            emu=None,
-            probes=[],
-            bounds=bounds.to_dict(p),
-        )
+        return verdict(FG_EXACT, {"kind": "narrow-width", "width": str(tri.width)})
 
     ctx = AlgebraContext(tri.u2, tri.u, field)
     ct = cone_tables(tri)
-    probes: list[dict] = []
 
     # Unit-factorization probes first: they are cheap and carry the most
     # explicit certificates (see the worked-example witnesses at m=2, 3).
@@ -151,44 +179,18 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
                                    branch_budget=bounds.branch_budget)
         probes.append(out.to_dict())
         if out.success:  # factorization_search re-verified the product
-            return Verdict(
-                status=FG_WITNESS,
-                witness={"kind": "A4", "m": m},
-                emu=None,
-                probes=probes,
-                bounds=bounds.to_dict(p),
-            )
+            return verdict(FG_WITNESS, {"kind": "A4", "m": m})
 
     j_values = [1] + [j for j in range(2, bounds.resolve_j_max(p) + 1) if j % p]
     for r in range(bounds.r_max + 1):
         for j in j_values:
-            rep = d_set(ctx, ct, pd, p, r, j, policy=bounds.policy, slack=slack)
+            rep = d_set(ctx, ct, pd, r, j)  # re-checks a window with h0 > 0
             probes.append(rep.to_dict())
             if rep.h0 > 0:
-                # Emission re-check: doubled scan margin and the flipped
-                # routing policy must reproduce the dimensions.
-                recheck = cohomology_dims(
-                    ctx, ct, pd, rep.m, rep.l,
-                    policy="B" if bounds.policy == "A" else "A",
-                    slack=2 * slack)
-                if (recheck.h0, recheck.h1) != (rep.h0, rep.h1):
-                    raise InconsistencyError("witness failed emission re-check")
-                return Verdict(
-                    status=FG_WITNESS,
-                    witness={"kind": "C4" if j == 1 else "C3",
-                             "r": r, "j": j, "h0": rep.h0},
-                    emu=None,
-                    probes=probes,
-                    bounds=bounds.to_dict(p),
-                )
+                return verdict(FG_WITNESS, {"kind": "C4" if j == 1 else "C3",
+                                            "r": r, "j": j, "h0": rep.h0})
 
-    return Verdict(
-        status=NO_WITNESS_UP_TO_BOUNDS,
-        witness=None,
-        emu=None,
-        probes=probes,
-        bounds=bounds.to_dict(p),
-    )
+    return verdict(NO_WITNESS_UP_TO_BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +333,7 @@ def reference_example_suite() -> list[SuiteItem]:
     details = []
     ctx5 = AlgebraContext(tri.u2, tri.u, FieldSpec(5))
     for r in (0, 1):
-        rep = d_set(ctx5, ct, pd, 5, r, 1)
+        rep = d_set(ctx5, ct, pd, r, 1)
         ok = ok and rep.h0 == 0 and rep.matrix.rank == 5**r
         details.append(f"r={r}: h0={rep.h0} pivots={rep.matrix.rank}")
     check("f: char 5 vanishing", ok, "; ".join(details))
@@ -339,7 +341,7 @@ def reference_example_suite() -> list[SuiteItem]:
     # (g) characteristic 7, first window: no sections; the obstruction row
     # leads at the level-13 gap and also carries the level-20 gap.
     ctx7 = AlgebraContext(tri.u2, tri.u, FieldSpec(7))
-    rep7 = d_set(ctx7, ct, pd, 7, 0, 1)
+    rep7 = d_set(ctx7, ct, pd, 0, 1)
     row = rep7.matrix.rows[0] if rep7.matrix.rows else {}
     check("g: char 7 window",
           rep7.h0 == 0 and rep7.matrix.pivot_gaps == [(11, 13)]

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import RangeError
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -40,7 +42,7 @@ class FieldSpec:
     def __post_init__(self):
         p = self.characteristic
         if p != 0 and not is_prime(p):
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+            raise RangeError(f"characteristic must be 0 or a prime, got {p}")
 
     def of_int(self, n: int):
         p = self.characteristic

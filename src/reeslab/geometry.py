@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .errors import (
     ClaimViolation,
     DegenerateError,
+    LevelError,
     RangeError,
     ShapeError,
     SlopeError,
@@ -319,7 +320,7 @@ def overlaps_and_gaps(
     ClaimViolation (input outside theorem hypotheses, or a bug).
     """
     if not 0 <= m < l:
-        raise ValueError(f"need 0 <= m < l, got m={m}, l={l}")
+        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     sigma, theta = pd.sigma, pd.theta
     slack = resolve_slack(slack, sigma)
     overlaps = [

@@ -90,10 +90,18 @@ def test_invalid_search_bounds_exit_code(worked_file, capsys):
     assert "r_max" in capsys.readouterr().err
 
 
-def test_cohomology_slack_below_sigma_exit_code(worked_file, capsys):
-    assert main(["cohomology", "--input", worked_file, "--char", "5",
-                 "--m", "12", "--l", "24", "--slack", "-1000"]) == 1
-    assert "slack -1000 is below sigma=12" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["cohomology", "--char", "5", "--m", "24", "--l", "12"], "need 0 <= m < l, got m=24, l=12"),
+    (["factorize", "--char", "5", "--m", "0"], "m must be a positive integer"),
+])
+def test_out_of_range_integers_exit_code(worked_file, argv, message):
+    # An out-of-range integer is an input error (exit 1), not a traceback.
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    run = subprocess.run([sys.executable, "-m", "reeslab.cli", *argv, "--input", worked_file],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr == f"input error: {message}\n"
 
 
 def test_bounds_flags_default_to_search_bounds():
@@ -140,6 +148,26 @@ def test_package_has_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno}:{name}")
+    assert offenders == []
+
+
+def test_package_imports_only_the_standard_library():
+    # The benchmark workers run python3 -S, so the runtime must import
+    # nothing outside the standard library and the package itself.
+    package = pathlib.Path(reeslab.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}:{name}" for name in modules
+                          if name.split(".")[0] not in sys.stdlib_module_names]
     assert offenders == []
 
 
@@ -199,7 +227,7 @@ def test_nonprime_characteristic(worked_file):
 
 
 def test_scan_table(capsys):
-    code = main(["scan", "--family", "g", "--from", "9/4", "--to", "11/4",
+    code = main(["scan", "--from", "9/4", "--to", "11/4",
                  "--step", "1/4", "--char", "0"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()

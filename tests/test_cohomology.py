@@ -24,19 +24,28 @@ from reeslab.cohomology import (
     _echelon_rank,
     char0_b2_check,
     cohomology_dims,
-    d_set,
     factorization_search,
     per_level_chi,
 )
+from reeslab.decision import d_set
 from reeslab.errors import (
     BudgetExceeded,
+    ContextError,
     InconsistencyError,
+    LevelError,
+    RangeError,
     SlopeError,
     TheoremViolation,
     WidthError,
 )
 from reeslab.fields import RATIONALS, FieldSpec
-from reeslab.geometry import cone_tables, emu_check, normalize_triangle, period_data
+from reeslab.geometry import (
+    cone_tables,
+    emu_check,
+    normalize_triangle,
+    overlaps_and_gaps,
+    period_data,
+)
 
 from oracles import decompose_element
 
@@ -255,7 +264,7 @@ def test_report_serialization_fields():
 
 def test_d_set_char5():
     ctx, ct, pd = worked(5)
-    ds = d_set(ctx, ct, pd, 5, 1, 1)
+    ds = d_set(ctx, ct, pd, 1, 1)
     assert ds.matrix.rank == 5 and ds.h0 == 0
     assert set(ds.matrix.pivot_gaps) == {
         (61, 73), (71, 85), (81, 97), (91, 109), (55, 66)}
@@ -263,7 +272,7 @@ def test_d_set_char5():
 
 def test_d_set_char7_r0():
     ctx, ct, pd = worked(7)
-    ds = d_set(ctx, ct, pd, 7, 0, 1)
+    ds = d_set(ctx, ct, pd, 0, 1)
     assert ds.h0 == 0 and ds.matrix.rank == 1
     # The single obstruction row leads at the lowest-level gap (11, 13); the
     # level-20 gap (17, 20) also appears in its support but is not a pivot.
@@ -278,7 +287,7 @@ def test_d_set_char7_r1():
     # gap at d = 7 on top of the six coprime-index (10d+1, 12d+1) gaps,
     # reaching the required p^1 = 7 pivots.
     ctx, ct, pd = worked(7)
-    ds = d_set(ctx, ct, pd, 7, 1, 1)
+    ds = d_set(ctx, ct, pd, 1, 1)
     assert ds.h0 == 0 and ds.matrix.rank == 7
     assert ds.matrix.pivot_gaps == [(77, 92), (81, 97), (91, 109), (101, 121),
                               (111, 133), (121, 145), (131, 157)]
@@ -288,7 +297,7 @@ def test_d_set_char11_r0():
     # 11 = 10*1 + 1 exercises the '10f+1' residue family at r=0.
     tri = normalize_triangle(WORKED)
     ctx = context_for(tri, FieldSpec(11))
-    ds = d_set(ctx, cone_tables(tri), period_data(tri), 11, 0, 1)
+    ds = d_set(ctx, cone_tables(tri), period_data(tri), 0, 1)
     assert ds.h0 == 0 and ds.matrix.rank == 1
 
 
@@ -298,13 +307,34 @@ def test_d_set_rejects_narrow_triangle():
     assert tri.width < 1
     ctx = context_for(tri, FieldSpec(5))
     with pytest.raises(WidthError):
-        d_set(ctx, cone_tables(tri), period_data(tri), 5, 0, 1)
+        d_set(ctx, cone_tables(tri), period_data(tri), 0, 1)
+
+
+def test_entry_point_arguments_raise_input_errors():
+    # InputError subclasses, which the command line maps to exit code 1.
+    ctx, ct, pd = worked(5)
+    with pytest.raises(RangeError):
+        d_set(ctx, ct, pd, -1, 1)
+    with pytest.raises(RangeError):
+        d_set(ctx, ct, pd, 0, 0)
+    with pytest.raises(ContextError):
+        d_set(*worked(0), 0, 1)
+    with pytest.raises(LevelError):
+        cohomology_dims(ctx, ct, pd, 24, 12)
+    with pytest.raises(LevelError):
+        overlaps_and_gaps(ct, pd, -1, 12)
+    with pytest.raises(RangeError):
+        subspace_decompose(ctx, ct, 12, 24, [], policy="C")
+    with pytest.raises(RangeError):
+        factorization_search(ctx, ct, pd, 0)
+    with pytest.raises(RangeError):
+        FieldSpec(6)
 
 
 def test_d_set_warns_on_divisible_j():
     ctx, ct, pd = worked(5)
     with pytest.warns(UserWarning):
-        d_set(ctx, ct, pd, 5, 0, 5)
+        d_set(ctx, ct, pd, 0, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,27 @@
 """Tests for the theorem-level decision procedures and the family scanner."""
 
+import dataclasses
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from reeslab import geometry
+from reeslab import decision, geometry
 from reeslab.algebra import context_for
-from reeslab.cohomology import d_set
 from reeslab.decision import (
     FG_EXACT,
     FG_WITNESS,
     NO_WITNESS_UP_TO_BOUNDS,
     NOT_FG_EXACT,
     SearchBounds,
+    d_set,
     decide,
     factorize_integer,
     family_triangle,
     reference_example_suite,
     scan_family,
 )
-from reeslab.errors import RangeError
+from reeslab.errors import InconsistencyError, RangeError
 from reeslab.fields import FieldSpec
 from reeslab.geometry import cone_tables, normalize_triangle, period_data, resolve_slack
 
@@ -111,8 +112,48 @@ def test_decide_probes_its_windows_through_d_set():
     v = decide(tri, FieldSpec(5), SearchBounds(m_max=1))
     ctx, ct, pd = context_for(tri, FieldSpec(5)), cone_tables(tri), period_data(tri)
     assert v.probes[0]["kind"] == "A4"
-    assert v.probes[1:] == [d_set(ctx, ct, pd, 5, r, j).to_dict()
+    assert v.probes[1:] == [d_set(ctx, ct, pd, r, j).to_dict()
                             for r in (0, 1) for j in (1, 2, 3, 4)]
+
+
+# A width-1 triangle whose first sections appear in the window (r, j) = (1, 1)
+# at p = 7: decide's witness is C4, found by d_set.
+C4_TRIANGLE = [(F(-1, 5), F(1, 10)), (F(4, 5), F(-2, 5)), (0, 1)]
+
+
+def count_windows(monkeypatch, tamper=None):
+    """Record (m, l, policy) of every cohomology_dims call d_set makes;
+    tamper(report) replaces the report of each policy-B call."""
+    original = decision.cohomology_dims
+    calls = []
+
+    def counting(ctx, ct, pd, m, l, policy="A", slack=None):
+        calls.append((m, l, policy))
+        rep = original(ctx, ct, pd, m, l, policy=policy, slack=slack)
+        return tamper(rep) if tamper and policy == "B" else rep
+
+    monkeypatch.setattr(decision, "cohomology_dims", counting)
+    return calls
+
+
+def test_decide_rechecks_only_the_witness_window(monkeypatch):
+    calls = count_windows(monkeypatch)
+    v = decide(normalize_triangle(C4_TRIANGLE), FieldSpec(7))
+    assert v.witness == {"kind": "C4", "r": 1, "j": 1, "h0": 1}
+    windows = [(p["m"], p["l"]) for p in v.probes if "h0" in p]
+    assert windows[-1] == (70, 140)
+    assert [c[:2] for c in calls] == windows + [(70, 140)]
+    assert [c[2] for c in calls] == ["A"] * len(windows) + ["B"]
+
+
+def test_d_set_raises_when_the_recheck_disagrees(monkeypatch):
+    count_windows(monkeypatch, tamper=lambda rep: dataclasses.replace(rep, h0=rep.h0 + 1))
+    tri = normalize_triangle(C4_TRIANGLE)
+    ctx, ct, pd = context_for(tri, FieldSpec(7)), cone_tables(tri), period_data(tri)
+    with pytest.raises(InconsistencyError, match="re-check"):
+        d_set(ctx, ct, pd, 1, 1)
+    # A window without sections is not re-checked.
+    assert d_set(ctx, ct, pd, 0, 1).h0 == 0
 
 
 def test_decide_never_negative_in_char_p():
@@ -191,7 +232,7 @@ def test_search_bounds_jmax_defaults():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"r_max": -1}, {"m_max": 0}, {"branch_budget": 0}, {"j_max": 0}, {"policy": "C"},
+    {"r_max": -1}, {"m_max": 0}, {"branch_budget": 0}, {"j_max": 0},
 ])
 def test_search_bounds_rejects_out_of_range(kwargs):
     with pytest.raises(RangeError):
