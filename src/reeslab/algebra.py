@@ -14,7 +14,11 @@ z-expansions in one column satisfy
 
 so each context keeps, per (alpha mod u, l), the sorted list of levels
 expanded so far; a new level is stepped up from the nearest cached level
-below it, and expanded from scratch only when there is none.
+below it, and expanded from scratch only when there is none.  A step is one
+pass down the columns: when d_k = 1 the product with w telescopes into the
+running column sum (see _z_step_rows).  A build from scratch needs w^delta
+only below level l - n, since the factor x^n lifts everything else out of
+the truncation.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
@@ -28,7 +32,7 @@ certificate checks the sweep, and the Laurent-polynomial model (coefficients
 of v^alpha x^n) checks products.
 
 Coefficients are added, scaled and reduced mod p in two helpers: _radd adds
-one term and _radd_row a scaled row.  Only the running column sum of
+one term and _radd_row a scaled row.  Only the telescoped column pass of
 _z_step_rows reduces on its own, which keeps the window engine's hottest loop
 free of a call per entry; binomials are reduced as they are made.
 
@@ -457,36 +461,75 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
 
 
 def _z_full_rows(ctx: AlgebraContext, l: int, alpha0: int, n: int) -> Rows:
-    """Rows of z(alpha0, n) = x(alpha0, 0) * w^delta * x^n * (1-x)^-n."""
+    """Rows of z(alpha0, n) = x(alpha0, 0) * w^delta * x^n * (1-x)^-n.
+
+    Products with w and with series in x only move terms up, so the levels
+    of x(alpha0, 0) * w^delta that stay below l after the shift by x^n, the
+    levels below l - n, are exactly its expansion truncated at l - n."""
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
     if delta < 0:
         raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
-    p = ctx.field.characteristic
-    shifted: Rows = {}
-    for m, row in _w_power_rows(ctx, l, alpha0, delta).items():
-        if m + n < l:
-            _radd_row(shifted, m + n, row, None, p)
-    return _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, p)
+    shifted = {m + n: row for m, row in _w_power_rows(ctx, l - n, alpha0, delta).items()}
+    return _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, ctx.field.characteristic)
 
 
 def _z_step_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int, rows: Rows) -> Rows:
-    """Rows of z(alpha0, k+1) from the rows of z(alpha0, k): at most one
-    product with w, a one-level shift (x), then a running sum down each
-    column (1/(1-x)).  The input rows are not modified."""
-    if ctx.ceil_slope(alpha0 - k - 1) != ctx.ceil_slope(alpha0 - k):
-        rows = _times_w_rows(ctx, l, rows)
-    p = ctx.field.characteristic
+    """Rows of z(alpha0, k+1) from the rows R of z(alpha0, k); R is not
+    modified.
+
+    z(alpha0, k+1) = z(alpha0, k) * w^d * x/(1-x) with d in {0, 1}, so level
+    N+1 of the result is the column sum of the levels <= N of R * w^d: with
+    d = 0, level N plus R[N].  With d = 1 the product with w folds into the
+    same pass.  Let s_e move by one column the entries whose column a has
+    defect ((a+1)*u2)//u - (a*u2)//u = e, and P[N] = R[N] + s1(P[N-1]) (s1
+    carries the terms of x(a,N) * vx = x(a+1,N+1) * w that need w again).
+    Then (R*w)[N] = P[N] - P[N-1] + s0(P[N-1]), which telescopes to
+
+        sum_{m<=N} (R*w)[m] = P[N] + sum_{m<N} s0(P[m]),
+
+    so level N+1 is P[N] plus a running sum of s0 parts.
+
+    Each level is its own dict, not changed once emitted.  A level copied
+    and updated is rebuilt when one of its entries vanished, so that it is
+    as compact as a freshly built dict."""
+    u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
+    carry = ctx.ceil_slope(alpha0 - k - 1) != ctx.ceil_slope(alpha0 - k)
     out: Rows = {}
-    acc: dict = {}
-    for n in range(k + 1, l):
-        row = rows.get(n - 1)
-        if row:
-            for a, c in row.items():
-                v = acc.get(a, 0) + c
-                acc[a] = v % p if p else v
-        level = {a: c for a, c in acc.items() if c}
+    level: dict = {}
+    pend: dict = {}    # P[N-1], then P[N]
+    s0sum: dict = {}   # sum_{m<N} s0(P[m])
+    for n in range(k, l - 1):
+        row = rows.get(n, {})
+        vanished = False
+        if carry:
+            prev, pend = pend, dict(row)
+            for a, c in prev.items():
+                b = a + 1
+                part = pend if (b * u2) // u - (a * u2) // u else s0sum
+                v = part.get(b, 0) + c
+                if p:
+                    v %= p
+                if v:
+                    part[b] = v
+                else:
+                    del part[b]
+                    vanished = vanished or part is pend
+            level, row = dict(pend) if s0sum else pend, s0sum
+        else:
+            level = dict(level)
+        for a, c in row.items():
+            v = level.get(a, 0) + c
+            if p:
+                v %= p
+            if v:
+                level[a] = v
+            else:
+                del level[a]
+                vanished = True
+        if vanished:
+            level = dict(level.items())
         if level:
-            out[n] = level
+            out[n + 1] = level
     return out
 
 

@@ -229,6 +229,8 @@ def factorization_search(
     """
     if m < 1:
         raise RangeError("m must be a positive integer")
+    if branch_budget < 1:
+        raise RangeError(f"branch_budget must be >= 1, got {branch_budget}")
     l = m * ctx.u
     fld = ctx.field
     target = xi_power(ctx, l, m)

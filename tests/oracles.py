@@ -8,6 +8,10 @@
   and returns a certificate that re-expands to its input.  It checks the
   window sweep algebra.subspace_decompose, row by row.
 
+* product_z_element multiplies out z(alpha, n) = x(alpha, 0) * w^delta *
+  x^n * (1-x)^-n with multiply, element_power and w_element.  It checks
+  both z builders, the full build and the step.
+
 lemma_w_element is not a route of its own: it shifts the slope -1/2 closed
 form algebra._lemma_w_rows to x(alpha, n) * w^k, so that the tests can check
 that closed form against generic multiplication.
@@ -29,6 +33,10 @@ from reeslab.algebra import (
     _radd,
     _radd_row,
     _z_rows_base,
+    element_power,
+    multiply,
+    one,
+    w_element,
     x_basis,
     z_element,
 )
@@ -48,6 +56,16 @@ def lemma_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> 
         if lvl + n < l:
             _radd_row(rows, lvl + n, row, None, p, alpha - alpha % 2)
     return AlgebraElement(ctx, l, rows)
+
+
+def product_z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:
+    """z(alpha, n) as the product x(alpha, 0) * w^delta * x^n * (1-x)^-n with
+    delta = ceil((alpha-n)*ubar) - ceil(alpha*ubar), through multiply."""
+    delta = ctx.ceil_slope(alpha - n) - ctx.ceil_slope(alpha)
+    x = x_basis(ctx, l, 0, 1) if l > 1 else AlgebraElement(ctx, l, {})
+    e = multiply(x_basis(ctx, l, alpha, 0), element_power(w_element(ctx, l), delta))
+    e = multiply(e, element_power(x, n))
+    return multiply(e, element_power(one(ctx, l) - x, -n))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from oracles import (
     decompose_element,
     laurent_multiply,
     lemma_w_element,
+    product_z_element,
     to_laurent,
 )
 
@@ -333,6 +334,51 @@ def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
     for alpha, n in requests:
         got = z_element(shared, l, alpha, n)
         assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slope=st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 5)]),
+    char=st.sampled_from([0, 2, 3, 5, 7]),
+    l=st.integers(min_value=1, max_value=30),
+    data=st.data(),
+)
+def test_z_expansions_match_the_product_formula(slope, char, l, data):
+    # The product x(alpha, 0) * w^delta * x^n * (1-x)^-n shares no code with
+    # either z builder.  n reaches l - 1, where a full build keeps a single
+    # level of its w-power.
+    u2, u = slope
+    field = FieldSpec(char)
+    shared = AlgebraContext(u2, u, field)
+    requests = data.draw(st.lists(
+        st.tuples(st.integers(min_value=-8, max_value=8),
+                  st.integers(min_value=0, max_value=l - 1)),
+        min_size=1, max_size=6))
+    for alpha, n in requests:
+        want = product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
+        assert z_element(shared, l, alpha, n) == want
+        assert z_element(AlgebraContext(u2, u, field), l, alpha, n) == want
+
+
+@pytest.mark.parametrize("slope, p, m, l", [
+    ((1, 2), 7, 84, 168),   # the p = 7, r = 1 window of the worked example
+    ((2, 3), 3, 54, 108),
+])
+def test_z_step_chain_over_a_whole_window(slope, p, m, l):
+    # Every level n of the window is stepped up from level n - 1 in one
+    # context, and must equal a fresh build; the cached levels stay reduced
+    # and never share a dict.
+    u2, u = slope
+    field = FieldSpec(p)
+    shared = AlgebraContext(u2, u, field)
+    for alpha0 in range(u):
+        for n in range(m, l):
+            got = z_element(shared, l, alpha0, n)
+            assert got == z_element(AlgebraContext(u2, u, field), l, alpha0, n)
+    assert len(shared._z_cache) == u * (l - m)
+    levels = [row for rows in shared._z_cache.values() for row in rows.values()]
+    assert all(1 <= c < p for row in levels for c in row.values())
+    assert len({id(row) for row in levels}) == len(levels)
 
 
 def test_modular_reduction_matches_rationals():

@@ -104,6 +104,16 @@ def test_out_of_range_integers_exit_code(worked_file, argv, message):
     assert run.stderr == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["factorize", "--m", "2"]])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_nonpositive_budget_exit_code(worked_file, capsys, argv, budget):
+    # Both commands refuse a branch budget below 1 up front, also where the
+    # search would need no branch (factorize at char 5, m = 2 needs none).
+    code = main([*argv, "--input", worked_file, "--char", "5", "--budget", budget])
+    assert code == 1
+    assert capsys.readouterr().err == f"input error: branch_budget must be >= 1, got {budget}\n"
+
+
 def test_bounds_flags_default_to_search_bounds():
     args = build_parser().parse_args(["analyze", "--input", "t.txt", "--char", "5"])
     assert _bounds(args) == SearchBounds()
