@@ -12,13 +12,14 @@ z-expansions in one column satisfy
     z(alpha, k+1) = z(alpha, k) * w^d_k * x/(1-x),
     d_k = ceil((alpha-k-1)*ubar) - ceil((alpha-k)*ubar) in {0, 1},
 
-so each context keeps, per (alpha mod u, l), the sorted list of levels
-expanded so far; a new level is stepped up from the nearest cached level
-below it, and expanded from scratch only when there is none.  A step is one
-pass down the columns: when d_k = 1 the product with w telescopes into the
-running column sum (see _z_step_rows).  A build from scratch needs w^delta
-only below level l - n, since the factor x^n lifts everything else out of
-the truncation.
+so a computation that walks the levels upwards keeps a cursor, a dict from
+alpha mod u to its newest expansion: a higher level is stepped up from it,
+and a lower one is expanded from scratch.  Each window sweep and each
+factorization search owns its cursor, so expansions live only as long as
+the computation that walks them.  A step is one pass down the columns:
+when d_k = 1 the product with w telescopes into the running column sum (see
+_z_step_rows).  A build from scratch needs w^delta only below level l - n,
+since the factor x^n lifts everything else out of the truncation.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
@@ -37,14 +38,12 @@ _z_step_rows reduces on its own, which keeps the window engine's hottest loop
 free of a call per entry; binomials are reduced as they are made.
 
 Elements are immutable values by convention; all operations are pure.
-Context caches are append-only dicts and a level list only ever names
-cached expansions, so they stay safe for concurrent readers under the GIL
-once a working window has been touched.
+The one context cache, of binomial series, is an append-only dict, so it
+stays safe for concurrent readers under the GIL.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -64,7 +63,8 @@ Rows = dict  # level -> {column -> coefficient}
 
 
 class AlgebraContext:
-    """Slope data ubar = -u2/u plus the base field, with expansion caches."""
+    """Slope data ubar = -u2/u plus the base field, with a cache of the
+    series (1-x)^j; z-expansions live in their callers' cursors."""
 
     def __init__(self, u2: int, u: int, field: FieldSpec):
         if u <= 0 or u2 < 0 or u2 > u or math.gcd(u2, u) != 1:
@@ -72,8 +72,6 @@ class AlgebraContext:
         self.u2 = u2
         self.u = u
         self.field = field
-        self._z_cache: dict = {}
-        self._z_levels: dict = {}    # (alpha0, l) -> sorted n in _z_cache
         self._series_cache: dict = {}
 
     def ceil_slope(self, alpha: int) -> int:
@@ -404,9 +402,9 @@ def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
     the generic loop for every slope against 7-8 s, and 20 s unprofiled
     when z was only ever stepped up from level 0 against 2.3 s.
 
-    Uncached: _z_rows_base builds z from scratch only below every cached
-    level of (alpha0, l), so a key (alpha0, k, l) does not recur; a cache
-    here was hit 0 times in the 863 calls of the seed-1 benchmark op lists."""
+    Uncached: a window sweep builds z from scratch at most once per alpha0
+    and steps every other level, so a cache here would be hit 4 times in
+    the 871 calls of the seed-1 benchmark op lists."""
     if k < 0:
         raise ValueError("w power must be nonnegative here")
     if ctx.u == 2 and ctx.u2 == 1:
@@ -533,27 +531,23 @@ def _z_step_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int, rows: Rows) -
     return out
 
 
-def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows, int]:
-    """Cached expansion rows of z(alpha0, n) with alpha0 = alpha mod u, and
-    the column shift to apply.
+def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int,
+                 cursor: dict) -> tuple[Rows, int]:
+    """Expansion rows of z(alpha0, n) with alpha0 = alpha mod u, and the
+    column shift to apply.
 
-    On a cache miss the rows are stepped up from the highest cached level
-    of (alpha0, l) below n, found by bisection in the sorted level list,
-    through z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); with no cached
-    level below n they are built from scratch.  Each call that builds adds
-    exactly one cache entry (the intermediate levels of a step are not
-    cached), and every expansion is checked to be exactly x(alpha0, n) at
-    level n, with its tail strictly above level n.
+    cursor is the caller's working state for one truncation level l: it
+    maps alpha0 to (k, rows of z(alpha0, k)) for the newest expansion.  A
+    lookup at n = k is a hit; above k the rows are stepped up through
+    z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); below k, or with no
+    entry, they are built from scratch.  The result becomes the newest
+    expansion, and every expansion made is checked to be exactly
+    x(alpha0, n) at level n, with its tail strictly above level n.
     """
     alpha0 = alpha % ctx.u
-    key = (alpha0, n, l)
-    rows = ctx._z_cache.get(key)
-    if rows is None:
-        levels = ctx._z_levels.setdefault((alpha0, l), [])
-        i = bisect.bisect_left(levels, n)
-        if i:
-            start = levels[i - 1]
-            rows = ctx._z_cache[(alpha0, start, l)]
+    start, rows = cursor.get(alpha0, (n + 1, None))
+    if start != n:
+        if start < n:
             for k in range(start, n):
                 rows = _z_step_rows(ctx, l, alpha0, k, rows)
         else:
@@ -562,8 +556,7 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> tuple[Rows,
             raise InconsistencyError(f"z({alpha0}, {n}) is not 1 * x({alpha0}, {n}) at level {n}")
         if min(rows) != n:
             raise InconsistencyError(f"z({alpha0}, {n}) has a tail below level {n}")
-        ctx._z_cache[key] = rows
-        levels.insert(i, n)
+        cursor[alpha0] = (n, rows)
     return rows, alpha - alpha0
 
 
@@ -572,7 +565,7 @@ def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement
     (alpha, n), tail strictly above level n."""
     if not 0 <= n < l:
         raise LevelError(f"basis level {n} outside [0, {l})")
-    zrows, shift = _z_rows_base(ctx, l, alpha, n)
+    zrows, shift = _z_rows_base(ctx, l, alpha, n, {})
     p = ctx.field.characteristic
     rows: Rows = {}
     for m, row in zrows.items():
@@ -666,10 +659,11 @@ def _overlap_gap_rows(
     live: list[int] = []      # rows seeded so far ...
     offsets: list[int] = []   # ... and their slot offsets
     visits = 0
+    cursor: dict = {}   # this sweep's z-expansions, one per alpha mod u
 
     def add_tail(alpha: int, n: int, mult) -> None:
         # residual += mult * (z(alpha, n) without its leading term at level n)
-        zrows, shift = _z_rows_base(ctx, l, alpha, n)
+        zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
         for zn, zrow in zrows.items():
             if zn == n:
                 continue

@@ -33,12 +33,12 @@ from .algebra import (
     AlgebraContext,
     AlgebraElement,
     _radd_row,
+    _z_rows_base,
     multiply,
     invert_unit,
     one,
     subspace_decompose,
     xi_power,
-    z_element,
 )
 from .errors import (
     BudgetExceeded,
@@ -235,6 +235,7 @@ def factorization_search(
     fld = ctx.field
     target = xi_power(ctx, l, m)
     state = {"branches": 0, "obstruction": None}
+    cursor: dict = {}   # this search's z-expansions, one per alpha mod u
 
     def descend(u_a, u_b, rho, n):
         if n >= l:
@@ -287,9 +288,12 @@ def factorization_search(
             if fa:
                 fa_rows[n] = fa
             one_fa = AlgebraElement(ctx, l, fa_rows)
-            one_fb = one(ctx, l)
+            fb_rows = {0: {0: fld.of_int(1)}}
             for alpha, c in fb.items():
-                one_fb = one_fb + z_element(ctx, l, alpha, n).scaled(c)
+                zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
+                for zn, zrow in zrows.items():
+                    _radd_row(fb_rows, zn, zrow, c, fld.characteristic, shift)
+            one_fb = AlgebraElement(ctx, l, fb_rows)
             new_rho = multiply(multiply(invert_unit(one_fa), rho), invert_unit(one_fb))
             got = descend(multiply(u_a, one_fa), multiply(one_fb, u_b), new_rho, n + 1)
             if got is not None:

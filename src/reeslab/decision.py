@@ -124,7 +124,9 @@ def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -
     exactly p^r overlaps and h0 = p^r - rank: degree-zero sections vanish
     exactly when the pivot gaps (matrix.pivot_gaps) number p^r.  A window
     with h0 > 0 is a witness, and is re-checked at once under policy B at
-    slack 2*sigma; differing dimensions raise InconsistencyError.
+    slack 2*sigma; differing dimensions raise InconsistencyError.  Each
+    sweep builds its own z-expansions, so the re-check shares no cached
+    state with the pass it checks.
     """
     p = ctx.field.characteristic
     if not p:

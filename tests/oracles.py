@@ -216,6 +216,7 @@ def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
     a_part: dict = {}
     b_part: dict = {}
     gaps: dict = {}
+    cursor: dict = {}
     for n in range(m, l):
         row = residual.get(n)
         if not row:
@@ -229,7 +230,7 @@ def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
                 _radd(residual, n, alpha, -c, p)
             elif in_b:
                 b_part[(alpha, n)] = c
-                zrows, shift = _z_rows_base(ctx, l, alpha, n)
+                zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
                 for zn, zrow in zrows.items():
                     _radd_row(residual, zn, zrow, -c, p, shift)
             else:

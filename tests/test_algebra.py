@@ -12,6 +12,7 @@ from reeslab.algebra import (
     AlgebraContext,
     AlgebraElement,
     _field_series,
+    _z_rows_base,
     context_for,
     dump_element,
     element_power,
@@ -365,18 +366,21 @@ def test_z_expansions_match_the_product_formula(slope, char, l, data):
     ((2, 3), 3, 54, 108),
 ])
 def test_z_step_chain_over_a_whole_window(slope, p, m, l):
-    # Every level n of the window is stepped up from level n - 1 in one
-    # context, and must equal a fresh build; the cached levels stay reduced
+    # Every level n of the window is stepped up from level n - 1 through one
+    # cursor, and must equal a fresh build; the emitted levels stay reduced
     # and never share a dict.
     u2, u = slope
     field = FieldSpec(p)
-    shared = AlgebraContext(u2, u, field)
+    ctx = AlgebraContext(u2, u, field)
+    cursor: dict = {}
+    levels = []
     for alpha0 in range(u):
         for n in range(m, l):
-            got = z_element(shared, l, alpha0, n)
-            assert got == z_element(AlgebraContext(u2, u, field), l, alpha0, n)
-    assert len(shared._z_cache) == u * (l - m)
-    levels = [row for rows in shared._z_cache.values() for row in rows.values()]
+            rows, shift = _z_rows_base(ctx, l, alpha0, n, cursor)
+            assert shift == 0 and cursor[alpha0] == (n, rows)
+            assert rows == z_element(AlgebraContext(u2, u, field), l, alpha0, n).rows
+            levels.extend(rows.values())
+    assert len(cursor) == u
     assert all(1 <= c < p for row in levels for c in row.values())
     assert len({id(row) for row in levels}) == len(levels)
 

@@ -3,6 +3,7 @@
 import math
 import random
 import signal
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -335,6 +336,48 @@ def test_d_set_warns_on_divisible_j():
     ctx, ct, pd = worked(5)
     with pytest.warns(UserWarning):
         d_set(ctx, ct, pd, 0, 5)
+
+
+def test_window_sweep_builds_each_column_once(monkeypatch):
+    # One sweep walks its levels upwards through one cursor: each alpha mod u
+    # is built from scratch at most once, and every later level is stepped.
+    ctx, ct, pd = worked(5)
+    builds: dict = {}
+    full_rows = algebra._z_full_rows
+
+    def counting_full_rows(ctx, l, alpha0, n):
+        builds[alpha0] = builds.get(alpha0, 0) + 1
+        return full_rows(ctx, l, alpha0, n)
+
+    monkeypatch.setattr(algebra, "_z_full_rows", counting_full_rows)
+    rep = cohomology_dims(ctx, ct, pd, 60, 120)
+    assert rep.matrix.rank == 5
+    assert builds and set(builds) <= set(range(ctx.u))
+    assert max(builds.values()) == 1
+
+
+def test_d_set_leaves_no_expansions_in_the_context():
+    # [36, 72) at p = 3 is a witness window, so d_set runs both sweeps.
+    ctx, ct, pd = worked(3)
+    assert d_set(ctx, ct, pd, 1, 1).h0 == 3
+    assert set(vars(ctx)) == {"u2", "u", "field", "_series_cache"}
+
+
+def test_d_set_windows_do_not_accumulate_memory():
+    # Four windows in one context peak at about the largest one alone: each
+    # sweep drops its z-expansions when it returns.
+    def traced_peak(js):
+        ctx, ct, pd = worked(5)
+        tracemalloc.start()
+        try:
+            for j in js:
+                d_set(ctx, ct, pd, 1, j)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(traced_peak([j]) for j in range(1, 5))
+    assert traced_peak(range(1, 5)) < 1.5 * alone
 
 
 # ---------------------------------------------------------------------------
