@@ -547,11 +547,10 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int,
     alpha0 = alpha % ctx.u
     start, rows = cursor.get(alpha0, (n + 1, None))
     if start != n:
-        if start < n:
-            for k in range(start, n):
-                rows = _z_step_rows(ctx, l, alpha0, k, rows)
-        else:
+        if start > n:
             rows = _z_full_rows(ctx, l, alpha0, n)
+        for k in range(start, n):
+            rows = _z_step_rows(ctx, l, alpha0, k, rows)
         if rows.get(n) != {alpha0: 1}:
             raise InconsistencyError(f"z({alpha0}, {n}) is not 1 * x({alpha0}, {n}) at level {n}")
         if min(rows) != n:

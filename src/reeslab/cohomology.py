@@ -266,8 +266,7 @@ def factorization_search(
             else:
                 gap_terms[(alpha, n)] = c
         if gap_terms:
-            if state["obstruction"] is None:
-                state["obstruction"] = (n, gap_terms)
+            state["obstruction"] = state["obstruction"] or (n, gap_terms)
             return None
         grids = [_coefficient_splits(fld, c) for _, c in overlap_terms]
         for choice in itertools.product(*grids) if grids else [()]:
@@ -295,9 +294,11 @@ def factorization_search(
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic, shift)
             one_fb = AlgebraElement(ctx, l, fb_rows)
             new_rho = multiply(multiply(invert_unit(one_fa), rho), invert_unit(one_fb))
+            saved = dict(cursor) if grids else {}   # level n again for the next choice
             got = descend(multiply(u_a, one_fa), multiply(one_fb, u_b), new_rho, n + 1)
             if got is not None:
                 return got
+            cursor.update(saved)
         return None
 
     result = descend(one(ctx, l), one(ctx, l), target, 1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reeslab import algebra
 from reeslab.algebra import (
     AlgebraContext,
     AlgebraElement,
@@ -310,6 +311,13 @@ def test_z_integer_coefficients_over_q():
                 assert F(c).denominator == 1
 
 
+def _cursor_z(ctx, l, alpha, n, cursor):
+    """z(alpha, n) read through a caller-held cursor, shifted to column alpha."""
+    zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
+    return AlgebraElement(ctx, l, {zn: {a + shift: c for a, c in row.items()}
+                                   for zn, row in zrows.items()})
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     slope=st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (2, 5)]),
@@ -319,8 +327,10 @@ def test_z_integer_coefficients_over_q():
     data=st.data(),
 )
 def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
-    # One shared context steps later requests up from its cursors; a fresh
-    # context asked for a single (alpha, n) always builds from scratch.
+    # One cursor, held across the requests, hits, steps up or rebuilds
+    # below its newest level; z_element uses a fresh cursor and always
+    # builds from scratch, and the product formula shares no code with
+    # either.
     u2, u = slope
     field = FieldSpec(char)
     requests = data.draw(st.lists(
@@ -331,10 +341,13 @@ def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
         requests = data.draw(st.permutations(requests))
     else:
         requests.sort(key=lambda an: an[1], reverse=order == "descending")
-    shared = AlgebraContext(u2, u, field)
+    ctx = AlgebraContext(u2, u, field)
+    cursor: dict = {}
     for alpha, n in requests:
-        got = z_element(shared, l, alpha, n)
+        got = _cursor_z(ctx, l, alpha, n, cursor)
+        assert cursor[alpha % u][0] == n
         assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
+        assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,15 +363,45 @@ def test_z_expansions_match_the_product_formula(slope, char, l, data):
     # level of its w-power.
     u2, u = slope
     field = FieldSpec(char)
-    shared = AlgebraContext(u2, u, field)
+    ctx = AlgebraContext(u2, u, field)
+    cursor: dict = {}
     requests = data.draw(st.lists(
         st.tuples(st.integers(min_value=-8, max_value=8),
                   st.integers(min_value=0, max_value=l - 1)),
         min_size=1, max_size=6))
     for alpha, n in requests:
         want = product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
-        assert z_element(shared, l, alpha, n) == want
+        assert _cursor_z(ctx, l, alpha, n, cursor) == want
         assert z_element(AlgebraContext(u2, u, field), l, alpha, n) == want
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+@pytest.mark.parametrize("slope", [(1, 2), (2, 3), (2, 5)])
+def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
+    # A fixed request order through one cursor takes every path of the
+    # lookup: a first build, a hit, single and multi-level steps, and a
+    # rebuild below the newest level.
+    u2, u = slope
+    field = FieldSpec(char)
+    l = 16
+    made = []
+    full, step = algebra._z_full_rows, algebra._z_step_rows
+    monkeypatch.setattr(algebra, "_z_full_rows",
+                        lambda *a: made.append("full") or full(*a))
+    monkeypatch.setattr(algebra, "_z_step_rows",
+                        lambda *a: made.append("step") or step(*a))
+    ctx = AlgebraContext(u2, u, field)
+    cursor: dict = {}
+    plan = [(2, ["full"]), (2, []), (3, ["step"]), (7, ["step"] * 4),
+            (4, ["full"]), (l - 1, ["step"] * (l - 5))]
+    for n, paths in plan:
+        for alpha in (1, 1 - 3 * u):
+            made.clear()
+            got = _cursor_z(ctx, l, alpha, n, cursor)
+            assert made == (paths if alpha == 1 else [])
+            assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
+            assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
+    assert list(cursor) == [1]
 
 
 @pytest.mark.parametrize("slope, p, m, l", [

@@ -445,6 +445,25 @@ def test_factorization_branching_and_budget():
         factorization_search(ctx, ct, pd, 4, branch_budget=1)
 
 
+def test_factorization_backtracking_reuses_its_expansions(monkeypatch):
+    # At p = 7 the m = 14 search on this slope -1/2 triangle branches and
+    # backs out of deeper levels; the next choice at a level reads that
+    # level's expansions again, so no alpha mod u is built twice.
+    tri = normalize_triangle([(F(-1, 5), F(1, 10)), (F(4, 5), F(-2, 5)), (0, 1)])
+    builds: dict = {}
+    full_rows = algebra._z_full_rows
+
+    def counting_full_rows(ctx, l, alpha0, n):
+        builds[alpha0] = builds.get(alpha0, 0) + 1
+        return full_rows(ctx, l, alpha0, n)
+
+    monkeypatch.setattr(algebra, "_z_full_rows", counting_full_rows)
+    ctx = context_for(tri, FieldSpec(7))
+    out = factorization_search(ctx, cone_tables(tri), period_data(tri), 14)
+    assert out.branches_explored == 7
+    assert builds == {0: 1, 1: 1}
+
+
 def test_no_branching_below_the_period():
     # Inside level m*u <= sigma no overlap can occur, so the searched paths
     # never split for the acceptance-range instances.
