@@ -37,9 +37,7 @@ one term and _radd_row a scaled row.  Only the telescoped column pass of
 _z_step_rows reduces on its own, which keeps the window engine's hottest loop
 free of a call per entry; binomials are reduced as they are made.
 
-Elements are immutable values by convention; all operations are pure.
-The one context cache, of binomial series, is an append-only dict, so it
-stays safe for concurrent readers under the GIL.
+Contexts and elements are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -62,28 +60,23 @@ from .geometry import ConeTables
 Rows = dict  # level -> {column -> coefficient}
 
 
+@dataclass(frozen=True)
 class AlgebraContext:
-    """Slope data ubar = -u2/u plus the base field, with a cache of the
-    series (1-x)^j; z-expansions live in their callers' cursors."""
+    """Slope data ubar = -u2/u plus the base field.  Contexts and elements
+    are immutable values; z-expansions live in their callers' cursors."""
 
-    def __init__(self, u2: int, u: int, field: FieldSpec):
+    u2: int
+    u: int
+    field: FieldSpec
+
+    def __post_init__(self):
+        u2, u = self.u2, self.u
         if u <= 0 or u2 < 0 or u2 > u or math.gcd(u2, u) != 1:
             raise ContextError(f"invalid slope pair ({u2}, {u})")
-        self.u2 = u2
-        self.u = u
-        self.field = field
-        self._series_cache: dict = {}
 
     def ceil_slope(self, alpha: int) -> int:
         """ceil(alpha * ubar) with exact integer semantics."""
         return -((alpha * self.u2) // self.u)
-
-    @property
-    def key(self):
-        return (self.u2, self.u, self.field)
-
-    def __repr__(self):
-        return f"AlgebraContext(ubar=-{self.u2}/{self.u}, char={self.field.characteristic})"
 
 
 def context_for(tri, field: FieldSpec) -> AlgebraContext:
@@ -200,11 +193,11 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (self.ctx.key == other.ctx.key and self.level == other.level
+        return (self.ctx == other.ctx and self.level == other.level
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ctx.key, self.level,
+        return hash((self.ctx, self.level,
                      tuple((n, a, c) for (a, n) in self.support()
                            for c in [self.rows[n][a]])))
 
@@ -216,7 +209,7 @@ class AlgebraElement:
 
 
 def _check_same(e1: AlgebraElement, e2: AlgebraElement) -> None:
-    if e1.ctx.key != e2.ctx.key or e1.level != e2.level:
+    if e1.ctx != e2.ctx or e1.level != e2.level:
         raise ContextMismatch(
             f"incompatible operands: {e1.ctx}@{e1.level} vs {e2.ctx}@{e2.level}")
 
@@ -310,8 +303,9 @@ def w_element(ctx: AlgebraContext, l: int) -> AlgebraElement:
 # Powers of w against a basis element
 
 
-def _binom_series(j: int, l: int) -> list[int]:
-    """Integer coefficients of (1-x)^j mod x^l, j may be negative."""
+def _series(j: int, l: int, p: int) -> list[int]:
+    """Coefficients of (1-x)^j mod x^l, j may be negative: the exact
+    integers, reduced mod p when p > 0."""
     out = [1]
     c = 1
     if j >= 0:
@@ -319,30 +313,16 @@ def _binom_series(j: int, l: int) -> list[int]:
             c = -c * (j - i) // (i + 1)
             out.append(c)
     else:
-        r = -j
         for i in range(l - 1):
-            c = c * (r + i) // (i + 1)
+            c = c * (i - j) // (i + 1)
             out.append(c)
-    return out
+    return [c % p for c in out] if p else out
 
 
 def _comb(n: int, k: int, p: int) -> int:
     """Binomial coefficient, reduced mod p when p > 0."""
     c = math.comb(n, k)
     return c % p if p else c
-
-
-def _field_series(ctx: AlgebraContext, j: int, l: int) -> list:
-    """Field-reduced coefficients of (1-x)^j mod x^l, cached per context."""
-    key = (j, l)
-    out = ctx._series_cache.get(key)
-    if out is None:
-        out = _binom_series(j, l)
-        p = ctx.field.characteristic
-        if p:
-            out = [c % p for c in out]
-        ctx._series_cache[key] = out
-    return out
 
 
 def _mul_x_series_rows(rows: Rows, series: list[int], l: int, p: int) -> Rows:
@@ -367,7 +347,7 @@ def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
         # coef * (1-x)^j * x(col, lvl)
         if lvl >= l or not coef:
             return
-        for i, s in enumerate(_field_series(ctx, j, l)):
+        for i, s in enumerate(_series(j, l, p)):
             if lvl + i >= l:
                 break
             if s:
@@ -393,7 +373,7 @@ def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
 
 
 def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
-    """Rows of x(alpha0, 0) * w^k for a column alpha0 in [0, u).
+    """Rows of x(alpha0, 0) * w^k, k >= 0, for a column alpha0 in [0, u).
 
     Slope -1/2 takes the closed form of _lemma_w_rows; the generic loop of
     w-products serves every other slope.  The benchmark keeps both routes,
@@ -405,8 +385,6 @@ def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
     Uncached: a window sweep builds z from scratch at most once per alpha0
     and steps every other level, so a cache here would be hit 4 times in
     the 871 calls of the seed-1 benchmark op lists."""
-    if k < 0:
-        raise ValueError("w power must be nonnegative here")
     if ctx.u == 2 and ctx.u2 == 1:
         return _lemma_w_rows(ctx, l, alpha0, k)
     rows = {0: {alpha0: ctx.field.of_int(1)}}
@@ -449,9 +427,8 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
     if l < 1:
         raise LevelError("truncation level must be >= 1")
     base = element_power(invert_unit(w_element(ctx, l)), ctx.u2 * m)
-    series = _field_series(ctx, ctx.u * m, l)
     p = ctx.field.characteristic
-    return AlgebraElement(ctx, l, _mul_x_series_rows(base.rows, series, l, p))
+    return AlgebraElement(ctx, l, _mul_x_series_rows(base.rows, _series(ctx.u * m, l, p), l, p))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +444,9 @@ def _z_full_rows(ctx: AlgebraContext, l: int, alpha0: int, n: int) -> Rows:
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
     if delta < 0:
         raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
+    p = ctx.field.characteristic
     shifted = {m + n: row for m, row in _w_power_rows(ctx, l - n, alpha0, delta).items()}
-    return _mul_x_series_rows(shifted, _field_series(ctx, -n, l), l, ctx.field.characteristic)
+    return _mul_x_series_rows(shifted, _series(-n, l, p), l, p)
 
 
 def _z_step_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int, rows: Rows) -> Rows:

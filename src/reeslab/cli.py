@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraContext
+from .algebra import context_for
 from .cohomology import cohomology_dims, factorization_search
 from .decision import (
     SearchBounds,
@@ -152,7 +152,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     tri = _load_triangle(args.input)
-    ctx = AlgebraContext(tri.u2, tri.u, FieldSpec(args.char))
+    ctx = context_for(tri, FieldSpec(args.char))
     rep = cohomology_dims(ctx, cone_tables(tri), period_data(tri), args.m, args.l)
     if args.json:
         print(canonical_json(rep.to_dict()))
@@ -167,7 +167,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_factorize(args) -> int:
     tri = _load_triangle(args.input)
-    ctx = AlgebraContext(tri.u2, tri.u, FieldSpec(args.char))
+    ctx = context_for(tri, FieldSpec(args.char))
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), args.m,
                                branch_budget=args.budget)
     if args.json:

@@ -34,6 +34,7 @@ from .algebra import (
     AlgebraElement,
     _radd_row,
     _z_rows_base,
+    context_for,
     multiply,
     invert_unit,
     one,
@@ -331,7 +332,7 @@ def char0_b2_check(tri, emu: EmuReport, ct: ConeTables, pd: PeriodData,
     """
     from .fields import RATIONALS
 
-    ctx = AlgebraContext(tri.u2, tri.u, RATIONALS)
+    ctx = context_for(tri, RATIONALS)
     outcome = factorization_search(ctx, ct, pd, 1, branch_budget=branch_budget)
     if outcome.success != emu.holds:
         raise TheoremViolation(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraContext
+from .algebra import AlgebraContext, context_for
 from .cohomology import (
     DEFAULT_BRANCH_BUDGET,
     CohomReport,
@@ -171,7 +171,7 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
     if tri.width < 1:
         return verdict(FG_EXACT, {"kind": "narrow-width", "width": str(tri.width)})
 
-    ctx = AlgebraContext(tri.u2, tri.u, field)
+    ctx = context_for(tri, field)
     ct = cone_tables(tri)
 
     # Unit-factorization probes first: they are cheap and carry the most
@@ -321,7 +321,7 @@ def reference_example_suite() -> list[SuiteItem]:
     ok = True
     details = []
     for p, m in [(2, 2), (3, 3)]:
-        ctx = AlgebraContext(tri.u2, tri.u, FieldSpec(p))
+        ctx = context_for(tri, FieldSpec(p))
         out = factorization_search(ctx, ct, pd, m)
         ok = ok and out.success
         details.append(f"char {p}: m={m} success={out.success}")
@@ -333,7 +333,7 @@ def reference_example_suite() -> list[SuiteItem]:
     # (f) characteristic 5: no degree-zero sections, pivot counts p^r
     ok = True
     details = []
-    ctx5 = AlgebraContext(tri.u2, tri.u, FieldSpec(5))
+    ctx5 = context_for(tri, FieldSpec(5))
     for r in (0, 1):
         rep = d_set(ctx5, ct, pd, r, 1)
         ok = ok and rep.h0 == 0 and rep.matrix.rank == 5**r
@@ -342,7 +342,7 @@ def reference_example_suite() -> list[SuiteItem]:
 
     # (g) characteristic 7, first window: no sections; the obstruction row
     # leads at the level-13 gap and also carries the level-20 gap.
-    ctx7 = AlgebraContext(tri.u2, tri.u, FieldSpec(7))
+    ctx7 = context_for(tri, FieldSpec(7))
     rep7 = d_set(ctx7, ct, pd, 0, 1)
     row = rep7.matrix.rows[0] if rep7.matrix.rows else {}
     check("g: char 7 window",

@@ -434,11 +434,12 @@ def toric_data(tri: NormalizedTriangle) -> ToricData:
 # ---------------------------------------------------------------------------
 # Triangle input files
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(?:/0*[1-9]\d*)?$")
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse 'p/q' or integer text; decimal notation is rejected."""
+    """Parse 'p/q' or integer text; decimal notation and a zero q are
+    rejected."""
     token = text.strip()
     if not _RAT_RE.match(token):
         raise TriangleFileError(f"not an exact rational: {text!r}")
@@ -474,5 +475,5 @@ def read_triangle_file(path) -> tuple[Point, Point, Point]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_triangle_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TriangleFileError(f"cannot read {path}: {exc}") from exc

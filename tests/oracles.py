@@ -28,10 +28,10 @@ from reeslab.algebra import (
     AlgebraElement,
     _check_same,
     _comb,
-    _field_series,
     _lemma_w_rows,
     _radd,
     _radd_row,
+    _series,
     _z_rows_base,
     element_power,
     multiply,
@@ -71,12 +71,12 @@ def product_z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Algebr
 # ---------------------------------------------------------------------------
 # Laurent-polynomial model (an independent multiplication oracle)
 
-_laurent_w_cache: dict = {}   # (ctx.key, k, l) -> rows of w^k
+_laurent_w_cache: dict = {}   # (ctx, k, l) -> rows of w^k
 
 
 def laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
     """Rows of w^k in coordinates (level, v-degree), truncated."""
-    key = (ctx.key, k, l)
+    key = (ctx, k, l)
     cached = _laurent_w_cache.get(key)
     if cached is not None:
         return cached
@@ -86,7 +86,7 @@ def laurent_w_rows(ctx: AlgebraContext, l: int, k: int) -> Rows:
         # (1-x+vx)^k = sum_i C(k,i) (vx)^i (1-x)^(k-i)
         for i in range(min(k, l - 1) + 1):
             ci = _comb(k, i, p)
-            for j, s in enumerate(_field_series(ctx, k - i, l)):
+            for j, s in enumerate(_series(k - i, l, p)):
                 if i + j >= l:
                     break
                 _radd(rows, i + j, i, ci * s, p)

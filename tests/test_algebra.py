@@ -12,7 +12,7 @@ from reeslab import algebra
 from reeslab.algebra import (
     AlgebraContext,
     AlgebraElement,
-    _field_series,
+    _series,
     _z_rows_base,
     context_for,
     dump_element,
@@ -91,6 +91,17 @@ def test_context_mismatch():
         multiply(x_basis(CTX_Q, 4, 0, 0), x_basis(CTX_Q, 5, 0, 0))
     with pytest.raises(ContextMismatch):
         multiply(x_basis(CTX_Q, 4, 0, 0), x_basis(CTX_F2, 4, 0, 0))
+
+
+def test_equal_contexts_are_interchangeable():
+    # Contexts are values: two built separately are equal and hash equal,
+    # and their elements compare equal and multiply together.
+    ctx = AlgebraContext(1, 2, FieldSpec(3))
+    assert ctx == CTX_F3 and ctx is not CTX_F3 and hash(ctx) == hash(CTX_F3)
+    vx = x_basis(ctx, 4, 1, 1)
+    assert vx == x_basis(CTX_F3, 4, 1, 1)
+    assert hash(vx) == hash(x_basis(CTX_F3, 4, 1, 1))
+    assert multiply(vx, x_basis(CTX_F3, 4, 1, 1)) == multiply(x_basis(CTX_F3, 4, 1, 1), vx)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +474,13 @@ def test_field_series_matches_lucas_oracle():
     # degree j) and C(-j-1+i, i) for j < 0; Lucas's theorem reduces each
     # binomial digit by digit without forming it.
     for p in (2, 3, 5, 7):
-        ctx = AlgebraContext(1, 2, FieldSpec(p))
         for j in range(-40, 41):
             if j >= 0:
                 full = [(-1) ** i * _comb_mod(j, i, p) % p for i in range(min(j, 47) + 1)]
             else:
                 full = [_comb_mod(-j - 1 + i, i, p) for i in range(48)]
             for l in range(1, 49):
-                assert _field_series(ctx, j, l) == full[:l], (p, j, l)
+                assert _series(j, l, p) == full[:l], (p, j, l)
 
 
 def test_xi_power_flat_slope_is_a_binomial():

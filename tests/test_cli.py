@@ -90,18 +90,40 @@ def test_invalid_search_bounds_exit_code(worked_file, capsys):
     assert "r_max" in capsys.readouterr().err
 
 
+def _run_cli(*argv):
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    return subprocess.run([sys.executable, "-m", "reeslab.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cohomology", "--char", "5", "--m", "24", "--l", "12"], "need 0 <= m < l, got m=24, l=12"),
     (["factorize", "--char", "5", "--m", "0"], "m must be a positive integer"),
 ])
 def test_out_of_range_integers_exit_code(worked_file, argv, message):
     # An out-of-range integer is an input error (exit 1), not a traceback.
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    run = subprocess.run([sys.executable, "-m", "reeslab.cli", *argv, "--input", worked_file],
-                         env=env, capture_output=True, text=True, timeout=60)
+    run = _run_cli(*argv, "--input", worked_file)
     assert run.returncode == 1
     assert run.stderr == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["analyze", "--char", "0", "--input"], b"v1 = 1/0, 0\nv2 = 1, 0\nv3 = 0, 1\n"),
+    (["analyze", "--char", "0", "--input"], b"v1 = 0, 0\nv2 = 1, 0\nv3 = 0, 1 \xff\n"),
+    (["scan", "--char", "0", "--step", "0/0"], None),
+])
+def test_bad_triangle_input_exit_code(tmp_path, argv, body):
+    # A zero denominator or a byte that is not UTF-8 is an input error
+    # (exit 1), not a traceback.
+    if body is not None:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(body)
+        argv = [*argv, str(path)]
+    run = _run_cli(*argv)
+    assert run.returncode == 1
+    assert run.stderr.startswith("input error")
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["factorize", "--m", "2"]])

@@ -527,7 +527,7 @@ def test_torsion_matches_smith_oracle(tri):
 def test_parse_rat():
     assert parse_rat(" -5/6 ") == F(-5, 6)
     assert parse_rat("42") == 42
-    for bad in ["0.5", "1e3", "5/0.3", "nan", "1/-2/3"]:
+    for bad in ["0.5", "1e3", "5/0.3", "nan", "1/-2/3", "1/0", "0/0"]:
         with pytest.raises(TriangleFileError):
             parse_rat(bad)
 
