@@ -611,6 +611,19 @@ def _overlap_gap_rows(
     residual column alpha >= 0 is in the first cone iff alpha >=
     min_pa_col(n), in the second iff alpha <= max_pb_col(n).
 
+    Lemma: every term (b, k) of z(alpha, n) has b - k <= alpha - n and
+    b >= alpha.  Multiplying by x or by 1/(1-x) raises the level alone, and
+    w = 1 - x + vx moves a term to (a, n), (a, n+1) or (a+1, n+1), times
+    powers of w again; none of these raises column - level or lowers the
+    column.  So let deep = min over k in [m, l) of max_pb_col(k) - k.  An
+    entry at (alpha, n) with alpha - n <= deep is in the second cone, and so
+    is every term of its z-tail, and of theirs, at every level of the
+    window: no gap ever receives anything from it.  The sweep drops such
+    entries exactly: it skips them where a level is read, and in
+    characteristic p never adds them to the residual.  Since no tail lowers
+    a column, the seeds and the visited positions are the only places a
+    negative column needs checking.
+
     In characteristic p a residual entry packs the rows' coefficients into
     one int, row i in the bits from width*i on, with width from _slot_width;
     slots stay nonnegative (c*z is subtracted as (p - c)*z) and are reduced
@@ -621,15 +634,20 @@ def _overlap_gap_rows(
     p = ctx.field.characteristic
     if not p and len(overlaps) > 1:
         return [_overlap_gap_rows(ctx, ct, m, l, [pos], policy)[0] for pos in overlaps]
-    # Second-cone positions with a nonnegative column at level n number at
-    # most n + 1, and each is visited at most once.
-    visit_bound = (l * (l + 1) - m * (m + 1)) // 2
+    cols_b = [ct.max_pb_col(n) for n in range(m, l)]
+    deep = min(col_b - n for n, col_b in enumerate(cols_b, m))
+    # Only the non-deep second-cone positions with a nonnegative column are
+    # visited, each at most once.
+    visit_bound = sum(max(0, col_b - max(0, n + deep + 1) + 1)
+                      for n, col_b in enumerate(cols_b, m))
     width = _slot_width(p, visit_bound) if p else 0
     mask = (1 << width) - 1
     seeds: dict = {}
     for i, (alpha, n) in enumerate(overlaps):
         if not m <= n < l:
             raise LevelError(f"overlap ({alpha}, {n}) outside the window [{m}, {l})")
+        if alpha < 0:
+            raise InconsistencyError(f"residual column {alpha} < 0 at level {n}")
         seeds.setdefault(n, []).append((i, alpha))
     residual: Rows = {}
     rows: list[dict] = [{} for _ in overlaps]
@@ -647,12 +665,14 @@ def _overlap_gap_rows(
             if not p:
                 _radd_row(residual, zn, zrow, None if mult == 1 else mult, 0, shift)
                 continue
+            cut = deep + zn - shift   # columns a <= cut land deep
             lvl = residual.get(zn)
             if lvl is None:
                 lvl = residual[zn] = {}
             for a, s in zrow.items():
-                a += shift
-                lvl[a] = lvl.get(a, 0) + s * mult
+                if a > cut:
+                    a += shift
+                    lvl[a] = lvl.get(a, 0) + s * mult
 
     for n in range(m, l):
         for i, alpha in seeds.get(n, ()):
@@ -662,13 +682,11 @@ def _overlap_gap_rows(
         row = residual.pop(n, None)
         if not row:
             continue
-        cols = sorted(row)
-        if cols[0] < 0:
-            raise InconsistencyError(f"residual column {cols[0]} < 0 at level {n}")
+        cut = n + deep
         col_a = ct.min_pa_col(n)
-        col_b = ct.max_pb_col(n)
-        for alpha in cols:
-            if alpha >= col_a and (policy == "A" or alpha > col_b):
+        col_b = cols_b[n - m]
+        for alpha in sorted(row):
+            if alpha <= cut or alpha >= col_a and (policy == "A" or alpha > col_b):
                 continue
             v = row[alpha]
             if not v:
@@ -677,6 +695,8 @@ def _overlap_gap_rows(
             if alpha <= col_b:
                 if not any(cs):
                     continue
+                if alpha < 0:
+                    raise InconsistencyError(f"residual column {alpha} < 0 at level {n}")
                 visits += 1
                 if visits > visit_bound:
                     raise InconsistencyError(

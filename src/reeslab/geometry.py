@@ -221,6 +221,19 @@ def _first_reaching(count, n: int) -> int:
     return lo
 
 
+def _periodic_reaching(memo: dict, period: tuple[int, int], count, n: int) -> int:
+    """_first_reaching(count, n) for a count with count(k+P) = count(k) + Q,
+    (P, Q) = period: the answer grows by P when n >= 1 grows by Q.  memo
+    keeps the answers for n reduced into [0, 2Q)."""
+    step, q = period
+    periods = max(0, n // q - 1)
+    n -= periods * q
+    k = memo.get(n)
+    if k is None:
+        k = memo[n] = _first_reaching(count, n)
+    return k + periods * step
+
+
 class ConeTables:
     """Column counts of the two boundary cones.
 
@@ -232,7 +245,18 @@ class ConeTables:
 
     Membership is decided in integers: the slopes are kept as numerator and
     denominator, and both floors and the ceiling are integer floor divisions,
-    so no Fraction is built per query.  Threshold queries are memoized.
+    so no Fraction is built per query.
+
+    Both counts are periodic up to a shift.  With P = lcm(s3, u) and Q =
+    P*(sbar - ubar), a(i+P) = a(i) + Q; with P' = lcm(t3, u) and Q' =
+    P'*(ubar - tbar), b(-i-P') = b(-i) + Q'.  So for n >= 1
+
+        min_pa_col(n+Q) = min_pa_col(n) + P,
+        max_pb_col(n+Q') = max_pb_col(n) + Q' - P',
+
+    and an infinite slope gives a constant search result, (P, Q) = (0, 1).
+    Each threshold is memoized on n reduced below 2Q, so its memo never
+    holds more than 2Q entries however many levels are asked.
     """
 
     def __init__(self, sbar: Optional[Fraction], tbar: Optional[Fraction], ubar: Fraction):
@@ -247,10 +271,17 @@ class ConeTables:
         self.ubar = ubar
         # -ceil(i*ubar) = floor(i*u2/u) with ubar = -u2/u.
         self._u2, self._u = -ubar.numerator, ubar.denominator
+        u2, u = self._u2, self._u
+        # (P, Q) with count(i+P) = count(i) + Q, for a(i) and for b(-i).
+        self._pa_period = self._pb_period = (0, 1)
         if sbar is not None:
             self._s_num, self._s_den = sbar.numerator, sbar.denominator
+            step = math.lcm(self._s_den, u)
+            self._pa_period = (step, step * self._s_num // self._s_den + step * u2 // u)
         if tbar is not None:
             self._t_num, self._t_den = tbar.numerator, tbar.denominator
+            step = math.lcm(self._t_den, u)
+            self._pb_period = (step, -step * u2 // u - step * self._t_num // self._t_den)
         self._pa_cache: dict[int, int] = {}
         self._pb_cache: dict[int, int] = {}
 
@@ -270,17 +301,14 @@ class ConeTables:
 
     def min_pa_col(self, n: int) -> int:
         """Smallest column alpha >= 0 with a(alpha) >= n+1."""
-        col = self._pa_cache.get(n)
-        if col is None:
-            col = self._pa_cache[n] = _first_reaching(self.a, n)
-        return col
+        return _periodic_reaching(self._pa_cache, self._pa_period, self.a, n)
 
     def max_pb_col(self, n: int) -> int:
         """Largest column n + i, i <= 0, with b(i) >= n+1."""
-        col = self._pb_cache.get(n)
-        if col is None:
-            col = self._pb_cache[n] = n - _first_reaching(lambda k: self.b(-k), n)
-        return col
+        return n - _periodic_reaching(self._pb_cache, self._pb_period, self._b_back, n)
+
+    def _b_back(self, k: int):
+        return self.b(-k)
 
 
 def cone_tables(tri: NormalizedTriangle) -> ConeTables:

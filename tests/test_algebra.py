@@ -386,6 +386,23 @@ def test_z_expansions_match_the_product_formula(slope, char, l, data):
         assert z_element(AlgebraContext(u2, u, field), l, alpha, n) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    slope=st.sampled_from([(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)]),
+    char=st.sampled_from([0, 2, 3, 5, 7]),
+    l=st.integers(min_value=1, max_value=30),
+    data=st.data(),
+)
+def test_z_terms_never_raise_column_minus_level(slope, char, l, data):
+    # The lemma behind the window sweep's deep drop: every term (b, k) of
+    # z(alpha, n) has b - k <= alpha - n and b >= alpha.
+    ctx = AlgebraContext(*slope, FieldSpec(char))
+    alpha = data.draw(st.integers(min_value=-10, max_value=40))
+    n = data.draw(st.integers(min_value=0, max_value=l - 1))
+    for b, k in z_element(ctx, l, alpha, n).support():
+        assert b - k <= alpha - n and b >= alpha, (b, k)
+
+
 @pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
 @pytest.mark.parametrize("slope", [(1, 2), (2, 3), (2, 5)])
 def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):

@@ -1,6 +1,8 @@
 """Tests for the two-chart cohomology engine and the factorization search."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import random
 import signal
@@ -561,12 +563,13 @@ def test_window_sweep_at_a_large_prime(policy, monkeypatch):
     p = 1_000_003
     tri = normalize_triangle(WORKED)
     ctx, ct, pd = context_for(tri, FieldSpec(p)), cone_tables(tri), period_data(tri)
-    read = []
+    read, masks = [], set()
     slots = algebra._slots
 
     def recording_slots(v, offsets, mask):
         out = slots(v, offsets, mask)
         read.extend(out)
+        masks.add(mask)
         return out
 
     monkeypatch.setattr(algebra, "_slots", recording_slots)
@@ -574,9 +577,50 @@ def test_window_sweep_at_a_large_prime(policy, monkeypatch):
     assert len(rep.matrix.overlaps) == 4
     assert rep.matrix.rows == oracle_rows(tri, p, 12, 60, rep.matrix.overlaps, policy)
     assert any(c > 2**16 for row in rep.matrix.rows for c in row.values())
-    visits = (60 * 61 - 12 * 13) // 2
+    # Only second-cone positions above the deep band, with a nonnegative
+    # column, are ever visited.
+    deep = min(ct.max_pb_col(k) - k for k in range(12, 60))
+    visits = sum(max(0, ct.max_pb_col(n) - max(0, n + deep + 1) + 1) for n in range(12, 60))
+    assert visits < (60 * 61 - 12 * 13) // 2
     assert max(read) > 2 * p**2
     assert max(read) <= p - 1 + visits * (p - 1) ** 2
+    assert masks == {(1 << (p - 1 + visits * (p - 1) ** 2).bit_length()) - 1}
+
+
+def window_digest(rep):
+    """sha256 prefix of a window's h0, h1, pivot gaps and obstruction rows."""
+    body = json.dumps([rep.m, rep.l, rep.h0, rep.h1,
+                       [list(g) for g in rep.matrix.pivot_gaps],
+                       [[[a, n, c] for (a, n), c in row.items()] for row in rep.matrix.rows]],
+                      separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+# (p, r, j) -> (h0, h1, policy-A digest, policy-B digest), recorded before
+# the sweep dropped its deep second-cone entries.
+GOLDEN_WINDOWS = {
+    (3, 1, 1): (3, 9, "cae465e8650c8cc5", "cae465e8650c8cc5"),
+    (3, 1, 2): (3, 9, "3acc844c726dba73", "3acc844c726dba73"),
+    (7, 1, 1): (0, 14, "828acbe25b8631df", "7f31c048c2840d35"),
+    (7, 1, 2): (0, 14, "a6891ed681659b3d", "b9a3f32b1f12b96b"),
+    (2, 4, 1): (16, 48, "3429f8ebed1f382d", "3429f8ebed1f382d"),
+    (2, 4, 2): (16, 48, "696b8fae6bc30b09", "696b8fae6bc30b09"),
+    (5, 2, 1): (0, 50, "a201b765057feb04", "df34aaa9965a5ba2"),
+}
+
+
+@pytest.mark.parametrize("p, r, j", sorted(GOLDEN_WINDOWS))
+def test_witness_windows_match_their_golden_digests(p, r, j):
+    # Obstruction rows, h0, h1 and pivot gaps of the windows
+    # [sigma*j*p^r, sigma*(j+1)*p^r), under policy A at slack sigma and
+    # policy B at slack 2*sigma.
+    h0, h1, digest_a, digest_b = GOLDEN_WINDOWS[p, r, j]
+    ctx, ct, pd = worked(p)
+    m, l = pd.sigma * j * p**r, pd.sigma * (j + 1) * p**r
+    for policy, slack, digest in (("A", pd.sigma, digest_a), ("B", 2 * pd.sigma, digest_b)):
+        rep = cohomology_dims(ctx, ct, pd, m, l, policy=policy, slack=slack)
+        assert (rep.h0, rep.h1) == (h0, h1)
+        assert window_digest(rep) == digest, policy
 
 
 def test_family_result_answers_gap_residual():

@@ -18,6 +18,7 @@ from reeslab.errors import (
 )
 from reeslab.geometry import (
     INF,
+    _first_reaching,
     cone_tables,
     delta_prime,
     emu_check,
@@ -385,6 +386,22 @@ def test_cone_thresholds_decide_membership(tri, levels):
         for alpha in range(-n - 2, 2 * n + 3):
             assert (alpha >= col_a) == pa_member(ct, alpha, n), (alpha, n)
             assert (alpha <= col_b) == pb_member(ct, alpha, n), (alpha, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(normalized_triangles(), st.randoms(use_true_random=False))
+def test_periodic_thresholds_match_the_galloping_search(tri, rng):
+    # Each threshold memo is keyed on the level reduced by its period Q;
+    # asked in any order for n up to several periods, both thresholds
+    # equal the search from scratch and the memos stay within 2Q entries.
+    ct = cone_tables(tri)
+    qa, qb = ct._pa_period[1], ct._pb_period[1]
+    levels = list(range(4 * max(qa, qb) + 3))
+    rng.shuffle(levels)
+    for n in levels:
+        assert ct.min_pa_col(n) == _first_reaching(ct.a, n), n
+        assert ct.max_pb_col(n) == n - _first_reaching(lambda k: ct.b(-k), n), n
+    assert len(ct._pa_cache) <= 2 * qa and len(ct._pb_cache) <= 2 * qb
 
 
 @settings(max_examples=40, deadline=None)
