@@ -3,23 +3,35 @@
 Elements live in the quotient of the section ring by the ideal of the
 truncation level l and are stored in the canonical monomial basis, indexed by
 (column alpha, level n): the basis element at (alpha, n) is
-v^alpha * w^ceil(alpha*ubar) * x^n with w = 1 - x + v*x.  A second family,
-z(alpha, n) = v^alpha * w^ceil((alpha-n)*ubar) * (x + x^2 + ...)^n, spans the
-other affine chart; its expansion is unitriangular against the x-basis
-(leading term at (alpha, n), tail strictly above level n).  Consecutive
-z-expansions in one column satisfy
+x(alpha, n) = v^alpha * w^ceil(alpha*ubar) * x^n with w = 1 - x + v*x.  A
+second family, z(alpha, n) = v^alpha * w^ceil((alpha-n)*ubar) * (x + x^2 +
+...)^n, spans the other affine chart; its expansion is unitriangular against
+the x-basis (leading term at (alpha, n), tail strictly above level n).
 
-    z(alpha, k+1) = z(alpha, k) * w^d_k * x/(1-x),
-    d_k = ceil((alpha-k-1)*ubar) - ceil((alpha-k)*ubar) in {0, 1},
+Every z-expansion has one binomial series per column.  With alpha0 in
+[0, u), f_i = floor((alpha0+i)*u2/u) - floor(alpha0*u2/u) and delta =
+ceil((alpha0-n)*ubar) - ceil(alpha0*ubar) >= 0,
 
-so a computation that walks the levels upwards keeps a cursor, a dict from
-alpha mod u to its newest expansion: a higher level is stepped up from it,
-and a lower one is expanded from scratch.  Each window sweep and each
-factorization search owns its cursor, so expansions live only as long as
-the computation that walks them.  A step is one pass down the columns:
-when d_k = 1 the product with w telescopes into the running column sum (see
-_z_step_rows).  A build from scratch needs w^delta only below level l - n,
-since the factor x^n lifts everything else out of the truncation.
+    z(alpha0, n) = sum_i c_i * x(alpha0+i, n+i) * (1-x)^(h_i - n),
+    h_i = delta + f_i - i,
+
+where c depends on (alpha0, delta) only and c_0 = 1.  Derivation: z(alpha0,
+n) = x(alpha0, 0) * w^delta * x^n * (1-x)^-n, and with t = vx/(1-x), w =
+(1-x)(1+t) and x(a, i) * t = x(a+1, i+1) * w^(f_(i+1)-f_i) / (1-x).  So
+x(alpha0, 0) * w^delta has the form sum_i c_i * x(alpha0+i, i) *
+(1-x)^(h_i), starting from c = (1) at delta = 0.  One more factor w
+multiplies each column by (1-x)(1+t): the 1 keeps c_i in place, and t
+carries it to column i+1, taking a further (1+t) along where f steps up.
+So raising delta by one is a single carry pass, c'_i = c_i + q_(i-1), with
+q_i = c'_i where f_i = f_(i-1) + 1 and q_i = c_i elsewhere (_z_fold).  A
+column shift by a multiple of u is a plain shift of every term.
+
+A computation that walks the levels upwards keeps a cursor, a dict from
+alpha mod u to its newest (delta, c): a higher delta is folded forward from
+it, a lower one is folded up from delta = 0 again.  Each window sweep and
+each factorization search owns its cursor, so the states live only as long
+as the computation that walks them.  The window sweep reads the columns of a
+state directly; _z_rows_base spells them out as rows for every other caller.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
@@ -33,9 +45,9 @@ certificate checks the sweep, and the Laurent-polynomial model (coefficients
 of v^alpha x^n) checks products.
 
 Coefficients are added, scaled and reduced mod p in two helpers: _radd adds
-one term and _radd_row a scaled row.  Only the telescoped column pass of
-_z_step_rows reduces on its own, which keeps the window engine's hottest loop
-free of a call per entry; binomials are reduced as they are made.
+one term and _radd_row a scaled row.  The window engine's loops, the carry
+pass and the sweep's tail walk, reduce on their own, which keeps them free of
+a call per entry; binomials are reduced as they are made.
 
 Contexts and elements are immutable values; all operations are pure.
 """
@@ -43,6 +55,7 @@ Contexts and elements are immutable values; all operations are pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -300,7 +313,7 @@ def w_element(ctx: AlgebraContext, l: int) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# Powers of w against a basis element
+# Power series in x
 
 
 def _series(j: int, l: int, p: int) -> list[int]:
@@ -319,12 +332,6 @@ def _series(j: int, l: int, p: int) -> list[int]:
     return [c % p for c in out] if p else out
 
 
-def _comb(n: int, k: int, p: int) -> int:
-    """Binomial coefficient, reduced mod p when p > 0."""
-    c = math.comb(n, k)
-    return c % p if p else c
-
-
 def _mul_x_series_rows(rows: Rows, series: list[int], l: int, p: int) -> Rows:
     """rows * (sum_k series[k] x^k): pure level shifts, no column mixing."""
     out: Rows = {}
@@ -336,61 +343,6 @@ def _mul_x_series_rows(rows: Rows, series: list[int], l: int, p: int) -> Rows:
                 break
             _radd_row(out, n + k, row, s, p)
     return out
-
-
-def _lemma_w_rows(ctx: AlgebraContext, l: int, alpha: int, k: int) -> Rows:
-    """Closed-form x(alpha,0) * w^k for slope -1/2, by parity of alpha."""
-    p = ctx.field.characteristic
-    out: Rows = {}
-
-    def emit(coef: int, j: int, col: int, lvl: int):
-        # coef * (1-x)^j * x(col, lvl)
-        if lvl >= l or not coef:
-            return
-        for i, s in enumerate(_series(j, l, p)):
-            if lvl + i >= l:
-                break
-            if s:
-                _radd(out, lvl + i, col, coef * s, p)
-
-    if k == 0:
-        _radd(out, 0, alpha, 1, p)
-        return out
-    if alpha % 2 == 0:
-        for q in range(k):
-            if 2 * q >= l:
-                break
-            emit(_comb(k + q - 1, 2 * q, p), k - q, alpha + 2 * q, 2 * q)
-            emit(_comb(k + q, 2 * q + 1, p), k - q - 1, alpha + 2 * q + 1, 2 * q + 1)
-    else:
-        emit(1, k, alpha, 0)
-        for q in range(k):
-            if 2 * q + 1 >= l:
-                break
-            emit(_comb(k + q, 2 * q + 1, p), k - q, alpha + 2 * q + 1, 2 * q + 1)
-            emit(_comb(k + q + 1, 2 * q + 2, p), k - q - 1, alpha + 2 * q + 2, 2 * q + 2)
-    return out
-
-
-def _w_power_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int) -> Rows:
-    """Rows of x(alpha0, 0) * w^k, k >= 0, for a column alpha0 in [0, u).
-
-    Slope -1/2 takes the closed form of _lemma_w_rows; the generic loop of
-    w-products serves every other slope.  The benchmark keeps both routes,
-    and keeps seeding z from these rows: one pass over the search-p op list
-    (seed 1, CPython 3.11, 2-core Xeon) took 30-36 s under cProfile with
-    the generic loop for every slope against 7-8 s, and 20 s unprofiled
-    when z was only ever stepped up from level 0 against 2.3 s.
-
-    Uncached: a window sweep builds z from scratch at most once per alpha0
-    and steps every other level, so a cache here would be hit 4 times in
-    the 871 calls of the seed-1 benchmark op lists."""
-    if ctx.u == 2 and ctx.u2 == 1:
-        return _lemma_w_rows(ctx, l, alpha0, k)
-    rows = {0: {alpha0: ctx.field.of_int(1)}}
-    for _ in range(k):
-        rows = _times_w_rows(ctx, l, rows)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -435,78 +387,61 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
 # The second basis
 
 
-def _z_full_rows(ctx: AlgebraContext, l: int, alpha0: int, n: int) -> Rows:
-    """Rows of z(alpha0, n) = x(alpha0, 0) * w^delta * x^n * (1-x)^-n.
+def _z_start(ctx: AlgebraContext, alpha0: int, width: int) -> tuple:
+    """The delta = 0 state of column alpha0 over width columns, where z is
+    x(alpha0, n) * (1-x)^-n.  A state is (delta, c, e, g, cols): c the
+    coefficients (columns past its end are 0), e_i whether f steps up at i,
+    g_i = f_i - i, and cols the nonzero columns as (i, c_i, h_i), with h_i
+    = delta + g_i."""
+    u2, u = ctx.u2, ctx.u
+    f = [((alpha0 + i) * u2) // u - (alpha0 * u2) // u for i in range(width)]
+    e = [i > 0 and f[i] != f[i - 1] for i in range(width)]
+    return 0, [1], e, [fi - i for i, fi in enumerate(f)], [(0, 1, 0)]
 
-    Products with w and with series in x only move terms up, so the levels
-    of x(alpha0, 0) * w^delta that stay below l after the shift by x^n, the
-    levels below l - n, are exactly its expansion truncated at l - n."""
+
+def _z_fold(p: int, state: tuple, delta: int, width: int) -> tuple:
+    """A state raised to w-exponent delta over its first width columns, one
+    carry pass per step: c'_i = c_i + q_(i-1), with q_i = c'_i where f
+    steps up at i and q_i = c_i elsewhere.  A pass ends where its carry
+    does.  The state is not modified."""
+    d, c, e, g, _ = state
+    c, e, g = c[:width], e[:width], g[:width]
+    for _ in range(delta - d):
+        q, folded = 0, []
+        for ci, ei in zip(c, e):
+            v = ci + q
+            q = v if ei else ci
+            folded.append(v)
+        for ei in e[len(c):]:
+            if not q:
+                break
+            folded.append(q)
+            if not ei:
+                q = 0
+        c = [v % p for v in folded] if p else folded
+    return delta, c, e, g, [(i, ci, delta + g[i]) for i, ci in enumerate(c) if ci]
+
+
+def _z_columns(ctx: AlgebraContext, alpha0: int, n: int, width: int, cursor: dict) -> tuple:
+    """The state (see _z_start) of z(alpha0, n) over its first width
+    columns, read through the caller's cursor.
+
+    cursor maps alpha0 to its newest state.  That state is folded forward
+    to the delta of z(alpha0, n); it is started again from delta = 0 when
+    its delta is above that one or it has fewer than width columns.  The
+    result becomes the newest state."""
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
     if delta < 0:
         raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
-    p = ctx.field.characteristic
-    shifted = {m + n: row for m, row in _w_power_rows(ctx, l - n, alpha0, delta).items()}
-    return _mul_x_series_rows(shifted, _series(-n, l, p), l, p)
-
-
-def _z_step_rows(ctx: AlgebraContext, l: int, alpha0: int, k: int, rows: Rows) -> Rows:
-    """Rows of z(alpha0, k+1) from the rows R of z(alpha0, k); R is not
-    modified.
-
-    z(alpha0, k+1) = z(alpha0, k) * w^d * x/(1-x) with d in {0, 1}, so level
-    N+1 of the result is the column sum of the levels <= N of R * w^d: with
-    d = 0, level N plus R[N].  With d = 1 the product with w folds into the
-    same pass.  Let s_e move by one column the entries whose column a has
-    defect ((a+1)*u2)//u - (a*u2)//u = e, and P[N] = R[N] + s1(P[N-1]) (s1
-    carries the terms of x(a,N) * vx = x(a+1,N+1) * w that need w again).
-    Then (R*w)[N] = P[N] - P[N-1] + s0(P[N-1]), which telescopes to
-
-        sum_{m<=N} (R*w)[m] = P[N] + sum_{m<N} s0(P[m]),
-
-    so level N+1 is P[N] plus a running sum of s0 parts.
-
-    Each level is its own dict, not changed once emitted.  A level copied
-    and updated is rebuilt when one of its entries vanished, so that it is
-    as compact as a freshly built dict."""
-    u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
-    carry = ctx.ceil_slope(alpha0 - k - 1) != ctx.ceil_slope(alpha0 - k)
-    out: Rows = {}
-    level: dict = {}
-    pend: dict = {}    # P[N-1], then P[N]
-    s0sum: dict = {}   # sum_{m<N} s0(P[m])
-    for n in range(k, l - 1):
-        row = rows.get(n, {})
-        vanished = False
-        if carry:
-            prev, pend = pend, dict(row)
-            for a, c in prev.items():
-                b = a + 1
-                part = pend if (b * u2) // u - (a * u2) // u else s0sum
-                v = part.get(b, 0) + c
-                if p:
-                    v %= p
-                if v:
-                    part[b] = v
-                else:
-                    del part[b]
-                    vanished = vanished or part is pend
-            level, row = dict(pend) if s0sum else pend, s0sum
-        else:
-            level = dict(level)
-        for a, c in row.items():
-            v = level.get(a, 0) + c
-            if p:
-                v %= p
-            if v:
-                level[a] = v
-            else:
-                del level[a]
-                vanished = True
-        if vanished:
-            level = dict(level.items())
-        if level:
-            out[n + 1] = level
-    return out
+    state = cursor.get(alpha0)
+    if state is None or state[0] > delta or len(state[2]) < width:
+        state = _z_start(ctx, alpha0, width)
+    if state[0] < delta:
+        state = _z_fold(ctx.field.characteristic, state, delta, width)
+    if state[1][0] != 1:
+        raise InconsistencyError(f"z({alpha0}, {n}) has leading coefficient {state[1][0]}, not 1")
+    cursor[alpha0] = state
+    return state
 
 
 def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int,
@@ -514,26 +449,24 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int,
     """Expansion rows of z(alpha0, n) with alpha0 = alpha mod u, and the
     column shift to apply.
 
-    cursor is the caller's working state for one truncation level l: it
-    maps alpha0 to (k, rows of z(alpha0, k)) for the newest expansion.  A
-    lookup at n = k is a hit; above k the rows are stepped up through
-    z(alpha0, k+1) = z(alpha0, k) * w^d_k * x/(1-x); below k, or with no
-    entry, they are built from scratch.  The result becomes the newest
-    expansion, and every expansion made is checked to be exactly
-    x(alpha0, n) at level n, with its tail strictly above level n.
-    """
+    Column i of the state from _z_columns (cursor is its cursor, and the
+    width l - n) holds c_i * (1-x)^(h_i - n) from level n + i on.  Every
+    expansion is checked to be exactly x(alpha0, n) at level n."""
     alpha0 = alpha % ctx.u
-    start, rows = cursor.get(alpha0, (n + 1, None))
-    if start != n:
-        if start > n:
-            rows = _z_full_rows(ctx, l, alpha0, n)
-        for k in range(start, n):
-            rows = _z_step_rows(ctx, l, alpha0, k, rows)
-        if rows.get(n) != {alpha0: 1}:
-            raise InconsistencyError(f"z({alpha0}, {n}) is not 1 * x({alpha0}, {n}) at level {n}")
-        if min(rows) != n:
-            raise InconsistencyError(f"z({alpha0}, {n}) has a tail below level {n}")
-        cursor[alpha0] = (n, rows)
+    p = ctx.field.characteristic
+    rows: Rows = {}
+    for i, ci, h in _z_columns(ctx, alpha0, n, l - n, cursor)[4]:
+        base = n + i
+        if base >= l:
+            break
+        for k, s in enumerate(_series(h - n, l - base, p)):
+            if s:
+                row = rows.get(base + k)
+                if row is None:
+                    row = rows[base + k] = {}
+                row[alpha0 + i] = ci * s % p if p else ci * s
+    if rows.get(n) != {alpha0: 1}:
+        raise InconsistencyError(f"z({alpha0}, {n}) is not 1 * x({alpha0}, {n}) at level {n}")
     return rows, alpha - alpha0
 
 
@@ -611,31 +544,54 @@ def _overlap_gap_rows(
     residual column alpha >= 0 is in the first cone iff alpha >=
     min_pa_col(n), in the second iff alpha <= max_pb_col(n).
 
-    Lemma: every term (b, k) of z(alpha, n) has b - k <= alpha - n and
-    b >= alpha.  Multiplying by x or by 1/(1-x) raises the level alone, and
-    w = 1 - x + vx moves a term to (a, n), (a, n+1) or (a+1, n+1), times
+    A tail is walked in its column form (_z_columns): column alpha + i with
+    c_i != 0 holds c_i * (1-x)^(h_i - n) from level n + i on, and only the
+    levels N of its live band are added to the residual:
+
+        first N with top(N) > alpha + i  <=  N  <  alpha + i - deep,
+
+    with top = min_pa_col under policy A and max(min_pa_col, max_pb_col + 1)
+    under policy B.  Below the band the entry is one the sweep drops as
+    first cone; at and above it, one in the deep cut.
+
+    The deep cut.  Every term (b, k) of z(alpha, n) has b - k <= alpha - n
+    and b >= alpha.  Multiplying by x or by 1/(1-x) raises the level alone,
+    and w = 1 - x + vx moves a term to (a, n), (a, n+1) or (a+1, n+1), times
     powers of w again; none of these raises column - level or lowers the
     column.  So let deep = min over k in [m, l) of max_pb_col(k) - k.  An
     entry at (alpha, n) with alpha - n <= deep is in the second cone, and so
     is every term of its z-tail, and of theirs, at every level of the
-    window: no gap ever receives anything from it.  The sweep drops such
-    entries exactly: it skips them where a level is read, and in
-    characteristic p never adds them to the residual.  Since no tail lowers
-    a column, the seeds and the visited positions are the only places a
-    negative column needs checking.
+    window: no gap ever receives anything from it.
+
+    The first-cone cut.  An entry with column >= top(N) is absorbed as an
+    x-basis term of the first chart: the sweep drops it without reading it,
+    and nothing else comes of it.  A column is first live where top first
+    exceeds it; top is monotone under policy A, and under policy B a level
+    after that where top is back at or below the column is still dropped
+    when the level is read.  Since no tail lowers a column, the seeds and
+    the visited positions are the only places a negative column needs
+    checking.
 
     In characteristic p a residual entry packs the rows' coefficients into
     one int, row i in the bits from width*i on, with width from _slot_width;
     slots stay nonnegative (c*z is subtracted as (p - c)*z) and are reduced
     mod p when the position is read, which happens once, since z-tails reach
     only higher levels.  Rationals are not packed: each row runs its own
-    sweep with a scalar coefficient, added through _radd_row.
+    sweep with a scalar coefficient.
     """
     p = ctx.field.characteristic
     if not p and len(overlaps) > 1:
         return [_overlap_gap_rows(ctx, ct, m, l, [pos], policy)[0] for pos in overlaps]
+    cols_a = [ct.min_pa_col(n) for n in range(m, l)]
     cols_b = [ct.max_pb_col(n) for n in range(m, l)]
     deep = min(col_b - n for n, col_b in enumerate(cols_b, m))
+    # first[a]: the first level at which column a is live, for the columns
+    # below the largest top(N) of the window; no later column ever is.
+    first: list[int] = []
+    for n, col_a, col_b in zip(range(m, l), cols_a, cols_b):
+        top = col_a if policy == "A" else max(col_a, col_b + 1)
+        first.extend([n] * (top - len(first)))
+    ncols = len(first)
     # Only the non-deep second-cone positions with a nonnegative column are
     # visited, each at most once.
     visit_bound = sum(max(0, col_b - max(0, n + deep + 1) + 1)
@@ -649,44 +605,67 @@ def _overlap_gap_rows(
         if alpha < 0:
             raise InconsistencyError(f"residual column {alpha} < 0 at level {n}")
         seeds.setdefault(n, []).append((i, alpha))
-    residual: Rows = {}
+    residual = [{} for _ in range(m, l)]   # level - m -> {column: coeff}
     rows: list[dict] = [{} for _ in overlaps]
     live: list[int] = []      # rows seeded so far ...
     offsets: list[int] = []   # ... and their slot offsets
     visits = 0
     cursor: dict = {}   # this sweep's z-expansions, one per alpha mod u
+    terms: dict = {}    # (j, c) -> the nonzero terms of c * (1-x)^j, as (ks, values)
 
     def add_tail(alpha: int, n: int, mult) -> None:
-        # residual += mult * (z(alpha, n) without its leading term at level n)
-        zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
-        for zn, zrow in zrows.items():
-            if zn == n:
+        # residual += mult * (z(alpha, n) without its leading term at level
+        # n), on the live band of each column: term k of column i lands at
+        # level n + i + k, below alpha + i - deep and below l.
+        cap, room = alpha - deep - n, l - n
+        # No column from ncols on is ever live.  Every seed and visit has
+        # alpha >= n + deep, so span does not grow with n, and the cursor
+        # only ever folds forward.
+        span = min(room, ncols - n - deep)
+        if span < 1:
+            return
+        for i, ci, h in _z_columns(ctx, alpha % ctx.u, n, span, cursor)[4]:
+            a = alpha + i
+            if a >= ncols:
+                break
+            lo = first[a] - n - i
+            if lo < 1 and not i:
+                lo = 1
+            hi = room - i
+            if hi > cap:
+                hi = cap
+            if lo >= hi:
                 continue
-            if not p:
-                _radd_row(residual, zn, zrow, None if mult == 1 else mult, 0, shift)
-                continue
-            cut = deep + zn - shift   # columns a <= cut land deep
-            lvl = residual.get(zn)
-            if lvl is None:
-                lvl = residual[zn] = {}
-            for a, s in zrow.items():
-                if a > cut:
-                    a += shift
-                    lvl[a] = lvl.get(a, 0) + s * mult
+            key = (h - n, ci)
+            series = terms.get(key)
+            if series is None:
+                ks, vs = [], []
+                for k, s in enumerate(_series(h - n, l - m, p)):
+                    if s:
+                        ks.append(k)
+                        vs.append(ci * s % p if p else ci * s)
+                series = terms[key] = (ks, vs)
+            ks, vs = series
+            start = bisect_left(ks, lo)
+            stop = bisect_left(ks, hi, start)
+            off = n + i - m
+            for k, v in zip(ks[start:stop], vs[start:stop]):
+                lvl = residual[off + k]
+                lvl[a] = lvl.get(a, 0) + v * mult
 
     for n in range(m, l):
         for i, alpha in seeds.get(n, ()):
             live.append(i)
             offsets.append(width * i)
             add_tail(alpha, n, 1 << (width * i))
-        row = residual.pop(n, None)
+        row = residual[n - m]
         if not row:
             continue
-        cut = n + deep
-        col_a = ct.min_pa_col(n)
+        residual[n - m] = {}
+        col_a = cols_a[n - m]
         col_b = cols_b[n - m]
         for alpha in sorted(row):
-            if alpha <= cut or alpha >= col_a and (policy == "A" or alpha > col_b):
+            if alpha >= col_a and (policy == "A" or alpha > col_b):
                 continue
             v = row[alpha]
             if not v:
@@ -710,8 +689,8 @@ def _overlap_gap_rows(
                 for i, c in zip(live, cs):
                     if c:
                         rows[i][(alpha, n)] = c
-    if residual:
-        raise NotInF(f"window sweep left a residual at levels {sorted(residual)}")
+    if any(residual):
+        raise NotInF("window sweep wrote to a level it had already read")
     return rows
 
 

@@ -22,10 +22,13 @@ The factorization search decides cone membership by the same per-level
 thresholds as the sweep (ConeTables.min_pa_col and max_pb_col); the
 per-position test pa_member only re-verifies a certificate it found.  Both
 thresholds are periodic in the level, so their memo holds at most two
-periods however many windows a table serves.  The sweep also reads the
-second-cone threshold for its deep band: an entry whose column - level is
-at most the smallest max_pb_col(k) - k of the window stays in the second
-cone with its whole z-tail, and is dropped without a visit.
+periods however many windows a table serves.  The sweep reads both
+thresholds once per window to bound the live band of every z-tail column:
+an entry whose column - level is at most the smallest max_pb_col(k) - k of
+the window stays in the second cone with its whole z-tail, and an entry at
+or past the first-cone threshold is absorbed by the first chart, so the
+sweep adds neither to its residual.  Its z-expansions come in column form,
+one binomial series per column (see algebra).
 """
 
 from __future__ import annotations

@@ -10,29 +10,30 @@
 
 * product_z_element multiplies out z(alpha, n) = x(alpha, 0) * w^delta *
   x^n * (1-x)^-n with multiply, element_power and w_element.  It checks
-  both z builders, the full build and the step.
+  the column form of z that algebra builds every expansion from.
 
-lemma_w_element is not a route of its own: it shifts the slope -1/2 closed
-form algebra._lemma_w_rows to x(alpha, n) * w^k, so that the tests can check
-that closed form against generic multiplication.
+column_w_element is not a route of its own: it spells x(alpha, n) * w^k in
+the column form of algebra (the fold of _z_fold, from _z_start), so that the
+tests can check that closed form against generic multiplication.
 
 No module of reeslab uses these routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from reeslab.algebra import (
     AlgebraContext,
     AlgebraElement,
     _check_same,
-    _comb,
-    _lemma_w_rows,
     _radd,
     _radd_row,
     _series,
+    _z_fold,
     _z_rows_base,
+    _z_start,
     element_power,
     multiply,
     one,
@@ -46,15 +47,17 @@ from reeslab.geometry import ConeTables, pa_member, pb_member
 Rows = dict  # level -> {column -> coefficient}
 
 
-def lemma_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> AlgebraElement:
-    """x(alpha, n) * w^k at slope -1/2: the rows of x(alpha mod 2, 0) * w^k
-    from _lemma_w_rows, moved up n levels and over alpha - alpha mod 2
-    columns."""
+def column_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> AlgebraElement:
+    """x(alpha, n) * w^k from the column form of x(alpha0, 0) * w^k, alpha0 =
+    alpha mod u: sum_i c_i * x(alpha0+i, i) * (1-x)^(k + f_i - i), moved up n
+    levels and over alpha - alpha0 columns."""
     p = ctx.field.characteristic
+    alpha0 = alpha % ctx.u
     rows: Rows = {}
-    for lvl, row in _lemma_w_rows(ctx, l, alpha % 2, k).items():
-        if lvl + n < l:
-            _radd_row(rows, lvl + n, row, None, p, alpha - alpha % 2)
+    for i, ci, h in _z_fold(p, _z_start(ctx, alpha0, l), k, l)[4]:
+        for j, s in enumerate(_series(h, l, p)):
+            if i + j + n < l:
+                _radd(rows, i + j + n, alpha + i, ci * s, p)
     return AlgebraElement(ctx, l, rows)
 
 
@@ -70,6 +73,13 @@ def product_z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Algebr
 
 # ---------------------------------------------------------------------------
 # Laurent-polynomial model (an independent multiplication oracle)
+
+
+def _comb(n: int, k: int, p: int) -> int:
+    """Binomial coefficient, reduced mod p when p > 0."""
+    c = math.comb(n, k)
+    return c % p if p else c
+
 
 _laurent_w_cache: dict = {}   # (ctx, k, l) -> rows of w^k
 

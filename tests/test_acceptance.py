@@ -49,7 +49,7 @@ from reeslab.geometry import (
     toric_data,
 )
 
-from oracles import lemma_w_element
+from oracles import column_w_element
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -247,7 +247,7 @@ def test_criterion_09_closed_form_w_powers():
                     wk = one(ctx, l)
                     for k in range(1, 7):
                         wk = multiply(wk, w)
-                        assert lemma_w_element(ctx, l, alpha, n, k) == \
+                        assert column_w_element(ctx, l, alpha, n, k) == \
                             multiply(x_basis(ctx, l, alpha, n), wk), (alpha, n, k)
     report(9, f"540 closed-form expansions exact in {sw.elapsed:.2f}s")
 

@@ -33,7 +33,7 @@ from oracles import (
     canonicalize_from_laurent,
     decompose_element,
     laurent_multiply,
-    lemma_w_element,
+    column_w_element,
     product_z_element,
     to_laurent,
 )
@@ -338,10 +338,10 @@ def _cursor_z(ctx, l, alpha, n, cursor):
     data=st.data(),
 )
 def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
-    # One cursor, held across the requests, hits, steps up or rebuilds
-    # below its newest level; z_element uses a fresh cursor and always
-    # builds from scratch, and the product formula shares no code with
-    # either.
+    # One cursor, held across the requests, hits, folds forward or starts
+    # again below its newest w-exponent; z_element uses a fresh cursor and
+    # always folds up from delta = 0, and the product formula shares no code
+    # with either.
     u2, u = slope
     field = FieldSpec(char)
     requests = data.draw(st.lists(
@@ -356,7 +356,7 @@ def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
     cursor: dict = {}
     for alpha, n in requests:
         got = _cursor_z(ctx, l, alpha, n, cursor)
-        assert cursor[alpha % u][0] == n
+        assert cursor[alpha % u][0] == ctx.ceil_slope(alpha % u - n) - ctx.ceil_slope(alpha % u)
         assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
         assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
 
@@ -386,6 +386,32 @@ def test_z_expansions_match_the_product_formula(slope, char, l, data):
         assert z_element(AlgebraContext(u2, u, field), l, alpha, n) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    slope=st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (3, 4), (2, 5), (4, 5)]),
+    char=st.sampled_from([0, 2, 3, 5, 7, 11]),
+    l=st.integers(min_value=1, max_value=20),
+    data=st.data(),
+)
+def test_z_column_form_matches_the_product_formula(slope, char, l, data):
+    # The identity behind every z-expansion: z(alpha0, n) = sum_i c_i *
+    # x(alpha0+i, n+i) * (1-x)^(h_i - n), with c folded up from delta = 0,
+    # summed here through multiply and element_power alone.
+    u2, u = slope
+    ctx = AlgebraContext(u2, u, FieldSpec(char))
+    alpha0 = data.draw(st.integers(min_value=0, max_value=u - 1))
+    n = data.draw(st.integers(min_value=0, max_value=l - 1))
+    delta, c, _, _, cols = algebra._z_columns(ctx, alpha0, n, l - n, {})
+    assert c[0] == 1 and cols[0] == (0, 1, delta)
+    one_minus_x = one(ctx, l) - (x_basis(ctx, l, 0, 1) if l > 1 else AlgebraElement(ctx, l, {}))
+    got = AlgebraElement(ctx, l, {})
+    for i, ci, h in cols:
+        if n + i < l:
+            term = x_basis(ctx, l, alpha0 + i, n + i).scaled(ctx.field.of_int(ci))
+            got = got + multiply(term, element_power(one_minus_x, h - n))
+    assert got == product_z_element(ctx, l, alpha0, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     slope=st.sampled_from([(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)]),
@@ -407,26 +433,41 @@ def test_z_terms_never_raise_column_minus_level(slope, char, l, data):
 @pytest.mark.parametrize("slope", [(1, 2), (2, 3), (2, 5)])
 def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     # A fixed request order through one cursor takes every path of the
-    # lookup: a first build, a hit, single and multi-level steps, and a
-    # rebuild below the newest level.
+    # lookup: a first start, a hit at the same w-exponent delta, a fold
+    # forward, a start again for a lower delta, and one for a wider state at
+    # the same delta.  A column shifted by a multiple of u reads the same
+    # state.
     u2, u = slope
     field = FieldSpec(char)
     l = 16
     made = []
-    full, step = algebra._z_full_rows, algebra._z_step_rows
-    monkeypatch.setattr(algebra, "_z_full_rows",
-                        lambda *a: made.append("full") or full(*a))
-    monkeypatch.setattr(algebra, "_z_step_rows",
-                        lambda *a: made.append("step") or step(*a))
+    start, fold = algebra._z_start, algebra._z_fold
+    monkeypatch.setattr(algebra, "_z_start",
+                        lambda *a: made.append("start") or start(*a))
+    monkeypatch.setattr(algebra, "_z_fold",
+                        lambda *a: made.append("fold") or fold(*a))
     ctx = AlgebraContext(u2, u, field)
+
+    def delta(n):
+        return ctx.ceil_slope(1 - n) - ctx.ceil_slope(1)
+
+    # Levels with delta 1, 1, 3, 2, and 2 again one level lower (so one
+    # column wider), then the top level.
+    by_delta = {}
+    for n in range(1, l):
+        by_delta.setdefault(delta(n), []).append(n)
+    two = by_delta[2]
+    assert len(two) >= 2
+    plan = [(by_delta[1][0], ["start", "fold"]), (by_delta[1][0], []),
+            (by_delta[3][0], ["fold"]), (two[-1], ["start", "fold"]),
+            (two[0], ["start", "fold"]), (l - 1, ["fold"])]
     cursor: dict = {}
-    plan = [(2, ["full"]), (2, []), (3, ["step"]), (7, ["step"] * 4),
-            (4, ["full"]), (l - 1, ["step"] * (l - 5))]
     for n, paths in plan:
         for alpha in (1, 1 - 3 * u):
             made.clear()
             got = _cursor_z(ctx, l, alpha, n, cursor)
             assert made == (paths if alpha == 1 else [])
+            assert cursor[1][0] == delta(n)
             assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
             assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
     assert list(cursor) == [1]
@@ -436,24 +477,36 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     ((1, 2), 7, 84, 168),   # the p = 7, r = 1 window of the worked example
     ((2, 3), 3, 54, 108),
 ])
-def test_z_step_chain_over_a_whole_window(slope, p, m, l):
-    # Every level n of the window is stepped up from level n - 1 through one
-    # cursor, and must equal a fresh build; the emitted levels stay reduced
-    # and never share a dict.
+def test_z_step_chain_over_a_whole_window(monkeypatch, slope, p, m, l):
+    # Every level n of the window is folded forward from level n - 1
+    # through one cursor, and must equal a fresh build; each alpha0 starts
+    # from delta = 0 once, the coefficients stay reduced, and a fold never
+    # changes a state it started from.
     u2, u = slope
     field = FieldSpec(p)
     ctx = AlgebraContext(u2, u, field)
+    starts = []
+    start = algebra._z_start
+    monkeypatch.setattr(algebra, "_z_start", lambda ctx, a0, w: starts.append(a0) or start(ctx, a0, w))
     cursor: dict = {}
-    levels = []
+    states = []
     for alpha0 in range(u):
         for n in range(m, l):
+            starts.clear()
             rows, shift = _z_rows_base(ctx, l, alpha0, n, cursor)
-            assert shift == 0 and cursor[alpha0] == (n, rows)
+            assert starts == ([alpha0] if n == m else [])
+            assert shift == 0
+            assert all(1 <= c < p for row in rows.values() for c in row.values())
             assert rows == z_element(AlgebraContext(u2, u, field), l, alpha0, n).rows
-            levels.extend(rows.values())
+            states.append((alpha0, n, cursor[alpha0], repr(cursor[alpha0])))
     assert len(cursor) == u
-    assert all(1 <= c < p for row in levels for c in row.values())
-    assert len({id(row) for row in levels}) == len(levels)
+    for alpha0, n, state, before in states:
+        delta, c, e, _, cols = state
+        assert repr(state) == before
+        assert c[0] == 1 and all(0 <= ci < p for ci in c)
+        assert [ci for _, ci, _ in cols] == [ci for ci in c if ci]
+        fresh = algebra._z_fold(p, start(ctx, alpha0, len(e)), delta, len(e))
+        assert fresh[4] == cols
 
 
 def test_modular_reduction_matches_rationals():
@@ -510,30 +563,30 @@ def test_xi_power_flat_slope_is_a_binomial():
 
 
 # ---------------------------------------------------------------------------
-# closed-form w powers
+# closed-form w powers: the column form of x(alpha, n) * w^k
 
 
 def test_w_pow_expand_k1_forms():
     l = 8
     w = w_element(CTX_Q, l)
     for alpha in (-2, 0, 4):  # even
-        got = lemma_w_element(CTX_Q, l, alpha, 1, 1)
+        got = column_w_element(CTX_Q, l, alpha, 1, 1)
         assert got == multiply(x_basis(CTX_Q, l, alpha, 1), w)
     for alpha in (-3, 1, 5):  # odd
-        got = lemma_w_element(CTX_Q, l, alpha, 1, 1)
+        got = column_w_element(CTX_Q, l, alpha, 1, 1)
         assert got == multiply(x_basis(CTX_Q, l, alpha, 1), w)
 
 
 def test_w_pow_expand_matches_generic_multiplication():
     l = 10
-    for ctx in (CTX_Q, CTX_F5):
+    for ctx in (CTX_Q, CTX_F5, AlgebraContext(2, 3, FieldSpec(3)), AlgebraContext(3, 4, RATIONALS)):
         for alpha in range(-4, 5):
             for n in (0, 1):
                 wk = one(ctx, l)
                 w = w_element(ctx, l)
                 for k in range(1, 7):
                     wk = multiply(wk, w)
-                    got = lemma_w_element(ctx, l, alpha, n, k)
+                    got = column_w_element(ctx, l, alpha, n, k)
                     assert got == multiply(x_basis(ctx, l, alpha, n), wk), (alpha, n, k)
 
 

@@ -343,20 +343,33 @@ def test_d_set_warns_on_divisible_j():
 
 def test_window_sweep_builds_each_column_once(monkeypatch):
     # One sweep walks its levels upwards through one cursor: each alpha mod u
-    # is built from scratch at most once, and every later level is stepped.
-    ctx, ct, pd = worked(5)
-    builds: dict = {}
-    full_rows = algebra._z_full_rows
+    # is folded up from delta = 0 at most once, and only ever folded forward
+    # after that.
+    starts: dict = {}
+    deltas: dict = {}
+    start, columns = algebra._z_start, algebra._z_columns
 
-    def counting_full_rows(ctx, l, alpha0, n):
-        builds[alpha0] = builds.get(alpha0, 0) + 1
-        return full_rows(ctx, l, alpha0, n)
+    def counting_start(ctx, alpha0, width):
+        starts[alpha0] = starts.get(alpha0, 0) + 1
+        return start(ctx, alpha0, width)
 
-    monkeypatch.setattr(algebra, "_z_full_rows", counting_full_rows)
-    rep = cohomology_dims(ctx, ct, pd, 60, 120)
-    assert rep.matrix.rank == 5
-    assert builds and set(builds) <= set(range(ctx.u))
-    assert max(builds.values()) == 1
+    def forward_columns(ctx, alpha0, n, width, cursor):
+        state = columns(ctx, alpha0, n, width, cursor)
+        assert state[0] >= deltas.get(alpha0, 0)
+        deltas[alpha0] = state[0]
+        return state
+
+    monkeypatch.setattr(algebra, "_z_start", counting_start)
+    monkeypatch.setattr(algebra, "_z_columns", forward_columns)
+    for char, m, l in [(5, 60, 120), (3, 72, 108), (2, 48, 96)]:
+        ctx, ct, pd = worked(char)
+        for policy in ("A", "B"):
+            starts.clear()
+            deltas.clear()
+            rep = cohomology_dims(ctx, ct, pd, m, l, policy=policy)
+            assert char != 5 or rep.matrix.rank == 5
+            assert starts and set(starts) <= set(range(ctx.u))
+            assert max(starts.values()) == 1
 
 
 def test_d_set_leaves_no_expansions_in_the_context():
@@ -454,20 +467,41 @@ def test_factorization_branching_and_budget():
 def test_factorization_backtracking_reuses_its_expansions(monkeypatch):
     # At p = 7 the m = 14 search on this slope -1/2 triangle branches and
     # backs out of deeper levels; the next choice at a level reads that
-    # level's expansions again, so no alpha mod u is built twice.
+    # level's state (delta, c) again, restored as it was, so no alpha mod u
+    # is folded up from delta = 0 twice.
     tri = normalize_triangle([(F(-1, 5), F(1, 10)), (F(4, 5), F(-2, 5)), (0, 1)])
-    builds: dict = {}
-    full_rows = algebra._z_full_rows
+    starts: dict = {}
+    read: list = []
+    start, columns = algebra._z_start, algebra._z_columns
 
-    def counting_full_rows(ctx, l, alpha0, n):
-        builds[alpha0] = builds.get(alpha0, 0) + 1
-        return full_rows(ctx, l, alpha0, n)
+    def counting_start(ctx, alpha0, width):
+        starts[alpha0] = starts.get(alpha0, 0) + 1
+        return start(ctx, alpha0, width)
 
-    monkeypatch.setattr(algebra, "_z_full_rows", counting_full_rows)
+    def recording_columns(ctx, alpha0, n, width, cursor):
+        state = columns(ctx, alpha0, n, width, cursor)
+        read.append((alpha0, n, state, repr(state)))
+        return state
+
+    monkeypatch.setattr(algebra, "_z_start", counting_start)
+    monkeypatch.setattr(algebra, "_z_columns", recording_columns)
     ctx = context_for(tri, FieldSpec(7))
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), 14)
     assert out.branches_explored == 7
-    assert builds == {0: 1, 1: 1}
+    assert starts == {0: 1, 1: 1}
+    # Every state read is the one a fresh fold gives, and no later fold or
+    # restore changed it.
+    levels = {}
+    for alpha0, n, state, before in read:
+        delta, c, e, _, cols = state
+        assert repr(state) == before
+        assert delta == ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
+        fresh = algebra._z_fold(7, start(ctx, alpha0, len(e)), delta, len(e))
+        assert fresh[4] == cols
+        levels.setdefault((alpha0, n), set()).add(id(state))
+    # A level read again after a backtrack reads the restored state itself.
+    assert len(read) > len(levels)
+    assert all(len(ids) == 1 for ids in levels.values())
 
 
 def test_no_branching_below_the_period():
