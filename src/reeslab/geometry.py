@@ -358,10 +358,6 @@ def overlaps_and_gaps(
     ]
     expected = set(overlaps)
     gaps: list[tuple[int, int]] = []
-    # ct.a(alpha) and ct.b(alpha - n), each read once per window; a column
-    # alpha < 0 is in no first cone, which -1 < n + 1 encodes.
-    a_of: dict[int, int] = {}
-    b_of: dict[int, int] = {}
     for n in range(m, l):
         col_a = ct.min_pa_col(n)
         col_b = ct.max_pb_col(n)
@@ -374,14 +370,8 @@ def overlaps_and_gaps(
         gaps.extend((alpha, n) for alpha in range(col_b + 1, col_a))
         # Verification margin: re-derive memberships near the strip.
         for alpha in range(min(col_b + 1, col_a) - slack, max(col_b, col_a - 1) + slack + 1):
-            a = a_of.get(alpha)
-            if a is None:
-                a = a_of[alpha] = ct.a(alpha) if alpha >= 0 else -1
-            b = b_of.get(alpha - n)
-            if b is None:
-                b = b_of[alpha - n] = ct.b(alpha - n)
-            in_a = a >= n + 1
-            in_b = b >= n + 1
+            in_a = pa_member(ct, alpha, n)
+            in_b = pb_member(ct, alpha, n)
             if in_a and in_b and (alpha, n) not in expected:
                 raise ClaimViolation(f"unexpected overlap at ({alpha}, {n})")
             if (not in_a and not in_b) != (col_b < alpha < col_a):
