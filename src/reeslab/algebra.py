@@ -13,25 +13,30 @@ Every z-expansion has one binomial series per column.  With alpha0 in
 ceil((alpha0-n)*ubar) - ceil(alpha0*ubar) >= 0,
 
     z(alpha0, n) = sum_i c_i * x(alpha0+i, n+i) * (1-x)^(h_i - n),
-    h_i = delta + f_i - i,
+    h_i = delta + f_i - i,   c_i = C(delta + f_(i-1), i),
 
-where c depends on (alpha0, delta) only and c_0 = 1.  Derivation: z(alpha0,
-n) = x(alpha0, 0) * w^delta * x^n * (1-x)^-n, and with t = vx/(1-x), w =
-(1-x)(1+t) and x(a, i) * t = x(a+1, i+1) * w^(f_(i+1)-f_i) / (1-x).  So
-x(alpha0, 0) * w^delta has the form sum_i c_i * x(alpha0+i, i) *
-(1-x)^(h_i), starting from c = (1) at delta = 0.  One more factor w
-multiplies each column by (1-x)(1+t): the 1 keeps c_i in place, and t
-carries it to column i+1, taking a further (1+t) along where f steps up.
-So raising delta by one is a single carry pass, c'_i = c_i + q_(i-1), with
-q_i = c'_i where f_i = f_(i-1) + 1 and q_i = c_i elsewhere (_z_fold).  A
-column shift by a multiple of u is a plain shift of every term.
+with f_(-1) = 0, so c_0 = 1.  Derivation: z(alpha0, n) = x(alpha0, 0) *
+w^delta * x^n * (1-x)^-n, and with t = vx/(1-x), w = (1-x)(1+t) and
+x(a, i) * t = x(a+1, i+1) * w^(f_(i+1)-f_i) / (1-x).  So x(alpha0, 0) *
+w^delta has the form sum_i c_i * x(alpha0+i, i) * (1-x)^(h_i), with c = (1)
+at delta = 0.  One more factor w multiplies each column by (1-x)(1+t): the
+1 keeps c_i in place, and t carries it to column i+1, taking a further
+(1+t) along where f steps up.  So raising delta by one is a single carry
+pass, c'_i = c_i + q_(i-1), with q_i = c'_i where f_i = f_(i-1) + 1 and q_i
+= c_i elsewhere (_z_carry).  The closed form is that pass's solution by
+Pascal's rule.  At delta = 0 it is c = (1).  With N = delta + f_(i-1),
+where f steps up at i-1, q_(i-1) = c'_(i-1) = C(delta+1 + f_(i-2), i-1) =
+C(N, i-1); elsewhere q_(i-1) = c_(i-1) = C(delta + f_(i-2), i-1) = C(N,
+i-1) too, as f_(i-2) = f_(i-1).  So c'_i = C(N, i) + C(N, i-1) = C(N+1, i).
+A column shift by a multiple of u is a plain shift of every term.
 
 A computation that walks the levels upwards keeps a cursor, a dict from
-alpha mod u to its newest (delta, c): a higher delta is folded forward from
-it, a lower one is folded up from delta = 0 again.  Each window sweep and
-each factorization search owns its cursor, so the states live only as long
-as the computation that walks them.  The window sweep reads the columns of a
-state directly; _z_rows_base spells them out as rows for every other caller.
+alpha mod u to its newest state: a higher delta is carried forward from it,
+a lower one, or a wider state, is started again from the closed form at its
+own delta (_z_start).  Each window sweep and each factorization search owns
+its cursor, so the states live only as long as the computation that walks
+them.  The window sweep reads the columns of a state directly; _z_rows_base
+spells them out as rows for every other caller.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
@@ -76,7 +81,9 @@ Rows = dict  # level -> {column -> coefficient}
 @dataclass(frozen=True)
 class AlgebraContext:
     """Slope data ubar = -u2/u plus the base field.  Contexts and elements
-    are immutable values; z-expansions live in their callers' cursors."""
+    are immutable values.  z-expansions live in their callers' cursors,
+    which start a state from the closed form of its column coefficients at
+    any w-exponent, so a context needs no cache of expansions."""
 
     u2: int
     u: int
@@ -387,29 +394,46 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
 # The second basis
 
 
-def _z_start(ctx: AlgebraContext, alpha0: int, width: int) -> tuple:
-    """The delta = 0 state of column alpha0 over width columns, where z is
-    x(alpha0, n) * (1-x)^-n.  A state is (delta, c, e, g, cols): c the
-    coefficients (columns past its end are 0), e_i whether f steps up at i,
-    g_i = f_i - i, and cols the nonzero columns as (i, c_i, h_i), with h_i
-    = delta + g_i."""
-    u2, u = ctx.u2, ctx.u
-    f = [((alpha0 + i) * u2) // u - (alpha0 * u2) // u for i in range(width)]
+def _z_start(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:
+    """The state of column alpha0 at w-exponent delta over width columns,
+    from the closed form c_i = C(delta + f_(i-1), i).
+
+    A state is (delta, c, e, g, cols): c the coefficients (columns past its
+    end are 0), e_i whether f steps up at i, g_i = f_i - i, and cols the
+    nonzero columns as (i, c_i, h_i), with h_i = delta + g_i.  The binomials
+    are made as exact integers along C(N, i) = C(N, i-1) * (N-i+1) / i, with
+    N one higher where f steps up, and reduced mod p as they are made; N - i
+    never grows, so the first exact zero ends c."""
+    u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
+    f0 = (alpha0 * u2) // u
+    f = [((alpha0 + i) * u2) // u - f0 for i in range(width)]
     e = [i > 0 and f[i] != f[i - 1] for i in range(width)]
-    return 0, [1], e, [fi - i for i, fi in enumerate(f)], [(0, 1, 0)]
+    c, b, top = [1], 1, delta   # b = C(top, i - 1), top = delta + f_(i-2)
+    for i in range(1, width):
+        if e[i - 1]:
+            top += 1
+            b = b * top // i
+        else:
+            b = b * (top - i + 1) // i
+        if not b:
+            break
+        c.append(b % p if p else b)
+    g = [fi - i for i, fi in enumerate(f)]
+    return delta, c, e, g, [(i, ci, delta + g[i]) for i, ci in enumerate(c) if ci]
 
 
-def _z_fold(p: int, state: tuple, delta: int, width: int) -> tuple:
-    """A state raised to w-exponent delta over its first width columns, one
-    carry pass per step: c'_i = c_i + q_(i-1), with q_i = c'_i where f
-    steps up at i and q_i = c_i elsewhere.  A pass ends where its carry
+def _z_carry(p: int, state: tuple, delta: int, width: int) -> tuple:
+    """A state raised to the higher w-exponent delta over its first width
+    columns, one carry pass per step (Pascal's rule on the closed form):
+    c'_i = c_i + q_(i-1), with q_i = c'_i where f steps up at i and q_i =
+    c_i elsewhere, reduced mod p as it goes.  A pass ends where its carry
     does.  The state is not modified."""
     d, c, e, g, _ = state
     c, e, g = c[:width], e[:width], g[:width]
     for _ in range(delta - d):
         q, folded = 0, []
         for ci, ei in zip(c, e):
-            v = ci + q
+            v = (ci + q) % p if p else ci + q
             q = v if ei else ci
             folded.append(v)
         for ei in e[len(c):]:
@@ -418,7 +442,7 @@ def _z_fold(p: int, state: tuple, delta: int, width: int) -> tuple:
             folded.append(q)
             if not ei:
                 q = 0
-        c = [v % p for v in folded] if p else folded
+        c = folded
     return delta, c, e, g, [(i, ci, delta + g[i]) for i, ci in enumerate(c) if ci]
 
 
@@ -426,18 +450,19 @@ def _z_columns(ctx: AlgebraContext, alpha0: int, n: int, width: int, cursor: dic
     """The state (see _z_start) of z(alpha0, n) over its first width
     columns, read through the caller's cursor.
 
-    cursor maps alpha0 to its newest state.  That state is folded forward
-    to the delta of z(alpha0, n); it is started again from delta = 0 when
-    its delta is above that one or it has fewer than width columns.  The
-    result becomes the newest state."""
+    cursor maps alpha0 to its newest state.  A state below the delta of
+    z(alpha0, n) is carried forward to it (_z_carry); one above it, or with
+    fewer than width columns, is started again at that delta from the
+    closed form (_z_start), never folded up from delta = 0.  The result
+    becomes the newest state."""
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
     if delta < 0:
         raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
     state = cursor.get(alpha0)
     if state is None or state[0] > delta or len(state[2]) < width:
-        state = _z_start(ctx, alpha0, width)
-    if state[0] < delta:
-        state = _z_fold(ctx.field.characteristic, state, delta, width)
+        state = _z_start(ctx, alpha0, delta, width)
+    elif state[0] < delta:
+        state = _z_carry(ctx.field.characteristic, state, delta, width)
     if state[1][0] != 1:
         raise InconsistencyError(f"z({alpha0}, {n}) has leading coefficient {state[1][0]}, not 1")
     cursor[alpha0] = state
@@ -611,7 +636,8 @@ def _overlap_gap_rows(
     offsets: list[int] = []   # ... and their slot offsets
     visits = 0
     cursor: dict = {}   # this sweep's z-expansions, one per alpha mod u
-    terms: dict = {}    # (j, c) -> the nonzero terms of c * (1-x)^j, as (ks, values)
+    series: dict = {}   # j -> the nonzero terms of (1-x)^j, as (ks, values)
+    terms: dict = {}    # (j, c) -> the same ks with the values of c * (1-x)^j
 
     def add_tail(alpha: int, n: int, mult) -> None:
         # residual += mult * (z(alpha, n) without its leading term at level
@@ -637,15 +663,21 @@ def _overlap_gap_rows(
             if lo >= hi:
                 continue
             key = (h - n, ci)
-            series = terms.get(key)
-            if series is None:
-                ks, vs = [], []
-                for k, s in enumerate(_series(h - n, l - m, p)):
-                    if s:
-                        ks.append(k)
-                        vs.append(ci * s % p if p else ci * s)
-                series = terms[key] = (ks, vs)
-            ks, vs = series
+            scaled = terms.get(key)
+            if scaled is None:
+                plain = series.get(h - n)
+                if plain is None:
+                    ks, vs = [], []
+                    for k, s in enumerate(_series(h - n, l - m, p)):
+                        if s:
+                            ks.append(k)
+                            vs.append(s)
+                    plain = series[h - n] = (ks, vs)
+                ks, vs = plain
+                # c * s stays nonzero mod a prime p, so the ks carry over.
+                scaled = terms[key] = plain if ci == 1 else (
+                    ks, [ci * s % p for s in vs] if p else [ci * s for s in vs])
+            ks, vs = scaled
             start = bisect_left(ks, lo)
             stop = bisect_left(ks, hi, start)
             off = n + i - m

@@ -303,11 +303,9 @@ def factorization_search(
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic, shift)
             one_fb = AlgebraElement(ctx, l, fb_rows)
             new_rho = multiply(multiply(invert_unit(one_fa), rho), invert_unit(one_fb))
-            saved = dict(cursor) if grids else {}   # level n again for the next choice
             got = descend(multiply(u_a, one_fa), multiply(one_fb, u_b), new_rho, n + 1)
             if got is not None:
                 return got
-            cursor.update(saved)
         return None
 
     result = descend(one(ctx, l), one(ctx, l), target, 1)

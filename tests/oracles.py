@@ -11,10 +11,13 @@
 * product_z_element multiplies out z(alpha, n) = x(alpha, 0) * w^delta *
   x^n * (1-x)^-n with multiply, element_power and w_element.  It checks
   the column form of z that algebra builds every expansion from.
+* fold_z_state reaches the column coefficients c(alpha0, delta) by delta
+  carry passes from c = (1) at delta = 0.  It checks the closed form
+  c_i = C(delta + f_(i-1), i) that algebra._z_start starts from.
 
-column_w_element is not a route of its own: it spells x(alpha, n) * w^k in
-the column form of algebra (the fold of _z_fold, from _z_start), so that the
-tests can check that closed form against generic multiplication.
+column_w_element spells x(alpha, n) * w^k in the column form, with the
+coefficients from fold_z_state, so that the tests can check the column form
+against generic multiplication.
 
 No module of reeslab uses these routes.
 """
@@ -31,9 +34,7 @@ from reeslab.algebra import (
     _radd,
     _radd_row,
     _series,
-    _z_fold,
     _z_rows_base,
-    _z_start,
     element_power,
     multiply,
     one,
@@ -47,6 +48,32 @@ from reeslab.geometry import ConeTables, pa_member, pb_member
 Rows = dict  # level -> {column -> coefficient}
 
 
+def fold_z_state(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:
+    """The state of algebra._z_start, (delta, c, e, g, cols), reached from
+    c = (1) at delta = 0 by one carry pass per w-power: c'_i = c_i +
+    q_(i-1), with q_i = c'_i where f steps up at i and q_i = c_i elsewhere,
+    in exact integers, reduced mod p after each pass."""
+    u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
+    f = [((alpha0 + i) * u2) // u - (alpha0 * u2) // u for i in range(width)]
+    e = [i > 0 and f[i] != f[i - 1] for i in range(width)]
+    g = [fi - i for i, fi in enumerate(f)]
+    c = [1]
+    for _ in range(delta):
+        q, folded = 0, []
+        for ci, ei in zip(c, e):
+            v = ci + q
+            q = v if ei else ci
+            folded.append(v)
+        for ei in e[len(c):]:
+            if not q:
+                break
+            folded.append(q)
+            if not ei:
+                q = 0
+        c = [v % p for v in folded] if p else folded
+    return delta, c, e, g, [(i, ci, delta + g[i]) for i, ci in enumerate(c) if ci]
+
+
 def column_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) -> AlgebraElement:
     """x(alpha, n) * w^k from the column form of x(alpha0, 0) * w^k, alpha0 =
     alpha mod u: sum_i c_i * x(alpha0+i, i) * (1-x)^(k + f_i - i), moved up n
@@ -54,7 +81,7 @@ def column_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) ->
     p = ctx.field.characteristic
     alpha0 = alpha % ctx.u
     rows: Rows = {}
-    for i, ci, h in _z_fold(p, _z_start(ctx, alpha0, l), k, l)[4]:
+    for i, ci, h in fold_z_state(ctx, alpha0, k, l)[4]:
         for j, s in enumerate(_series(h, l, p)):
             if i + j + n < l:
                 _radd(rows, i + j + n, alpha + i, ci * s, p)

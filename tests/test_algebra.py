@@ -34,6 +34,7 @@ from oracles import (
     decompose_element,
     laurent_multiply,
     column_w_element,
+    fold_z_state,
     product_z_element,
     to_laurent,
 )
@@ -338,10 +339,10 @@ def _cursor_z(ctx, l, alpha, n, cursor):
     data=st.data(),
 )
 def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
-    # One cursor, held across the requests, hits, folds forward or starts
+    # One cursor, held across the requests, hits, carries forward or starts
     # again below its newest w-exponent; z_element uses a fresh cursor and
-    # always folds up from delta = 0, and the product formula shares no code
-    # with either.
+    # always starts from the closed form, and the product formula shares no
+    # code with either.
     u2, u = slope
     field = FieldSpec(char)
     requests = data.draw(st.lists(
@@ -415,23 +416,55 @@ def test_z_terms_never_raise_column_minus_level(slope, char, l, data):
         assert b - k <= alpha - n and b >= alpha, (b, k)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    slope=st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5),
+                           (3, 5), (4, 5), (5, 6), (3, 7), (6, 7)]),
+    char=st.sampled_from([0, 2, 3, 5, 7, 11]),
+    delta=st.one_of(st.integers(min_value=0, max_value=24),
+                    st.integers(min_value=0, max_value=350)),
+    width=st.integers(min_value=1, max_value=160),
+    data=st.data(),
+)
+def test_z_closed_form_start_matches_the_fold_from_zero(slope, char, delta, width, data):
+    # c_i = C(delta + f_(i-1), i) against delta carry passes from c = (1),
+    # and Pascal's rule: one carry pass from the closed form at delta is
+    # the closed form at delta + 1.  Mod p the two lists of c may end at
+    # different zeros; the nonzero columns agree exactly.
+    u2, u = slope
+    ctx = AlgebraContext(u2, u, FieldSpec(char))
+    alpha0 = data.draw(st.integers(min_value=0, max_value=u - 1))
+    start = algebra._z_start(ctx, alpha0, delta, width)
+    fold = fold_z_state(ctx, alpha0, delta, width)
+    assert start[0] == delta and start[2:] == fold[2:]
+    c = start[1]
+    assert c[0] == 1
+    assert all(0 <= ci < char for ci in c) if char else all(c)
+    assert c == fold[1][:len(c)] and not any(fold[1][len(c):])
+    step = algebra._z_carry(char, start, delta + 1, width)
+    assert step[0] == delta + 1
+    assert step[4] == algebra._z_start(ctx, alpha0, delta + 1, width)[4]
+    assert step[4] == fold_z_state(ctx, alpha0, delta + 1, width)[4]
+
+
 @pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
 @pytest.mark.parametrize("slope", [(1, 2), (2, 3), (2, 5)])
 def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     # A fixed request order through one cursor takes every path of the
-    # lookup: a first start, a hit at the same w-exponent delta, a fold
+    # lookup: a first start, a hit at the same w-exponent delta, a carry
     # forward, a start again for a lower delta, and one for a wider state at
-    # the same delta.  A column shifted by a multiple of u reads the same
-    # state.
+    # the same delta.  Every start is at the requested delta, never at 0
+    # with a carry up from there.  A column shifted by a multiple of u reads
+    # the same state.
     u2, u = slope
     field = FieldSpec(char)
     l = 16
     made = []
-    start, fold = algebra._z_start, algebra._z_fold
+    start, carry = algebra._z_start, algebra._z_carry
     monkeypatch.setattr(algebra, "_z_start",
-                        lambda *a: made.append("start") or start(*a))
-    monkeypatch.setattr(algebra, "_z_fold",
-                        lambda *a: made.append("fold") or fold(*a))
+                        lambda ctx, a0, d, w: made.append(("start", d)) or start(ctx, a0, d, w))
+    monkeypatch.setattr(algebra, "_z_carry",
+                        lambda p, st, d, w: made.append(("carry", st[0], d)) or carry(p, st, d, w))
     ctx = AlgebraContext(u2, u, field)
 
     def delta(n):
@@ -444,9 +477,10 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
         by_delta.setdefault(delta(n), []).append(n)
     two = by_delta[2]
     assert len(two) >= 2
-    plan = [(by_delta[1][0], ["start", "fold"]), (by_delta[1][0], []),
-            (by_delta[3][0], ["fold"]), (two[-1], ["start", "fold"]),
-            (two[0], ["start", "fold"]), (l - 1, ["fold"])]
+    top = delta(l - 1)
+    plan = [(by_delta[1][0], [("start", 1)]), (by_delta[1][0], []),
+            (by_delta[3][0], [("carry", 1, 3)]), (two[-1], [("start", 2)]),
+            (two[0], [("start", 2)]), (l - 1, [("carry", 2, top)])]
     cursor: dict = {}
     for n, paths in plan:
         for alpha in (1, 1 - 3 * u):
@@ -457,6 +491,12 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
             assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
             assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
     assert list(cursor) == [1]
+    # Through _z_rows_base a lower delta is always a wider request too; a
+    # narrow request below the cursor's delta starts again all the same.
+    made.clear()
+    state = algebra._z_columns(ctx, 1, two[-1], 1, cursor)
+    assert made == [("start", 2)] and state[0] == 2
+    assert state[4] == fold_z_state(ctx, 1, 2, 1)[4]
 
 
 @pytest.mark.parametrize("slope, p, m, l", [
@@ -464,23 +504,25 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     ((2, 3), 3, 54, 108),
 ])
 def test_z_step_chain_over_a_whole_window(monkeypatch, slope, p, m, l):
-    # Every level n of the window is folded forward from level n - 1
+    # Every level n of the window is carried forward from level n - 1
     # through one cursor, and must equal a fresh build; each alpha0 starts
-    # from delta = 0 once, the coefficients stay reduced, and a fold never
-    # changes a state it started from.
+    # once, at the delta of level m, the coefficients stay reduced, and a
+    # carry never changes a state it started from.
     u2, u = slope
     field = FieldSpec(p)
     ctx = AlgebraContext(u2, u, field)
     starts = []
     start = algebra._z_start
-    monkeypatch.setattr(algebra, "_z_start", lambda ctx, a0, w: starts.append(a0) or start(ctx, a0, w))
+    monkeypatch.setattr(algebra, "_z_start",
+                        lambda ctx, a0, d, w: starts.append((a0, d)) or start(ctx, a0, d, w))
     cursor: dict = {}
     states = []
     for alpha0 in range(u):
         for n in range(m, l):
             starts.clear()
             rows, shift = _z_rows_base(ctx, l, alpha0, n, cursor)
-            assert starts == ([alpha0] if n == m else [])
+            delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
+            assert starts == ([(alpha0, delta)] if n == m else [])
             assert shift == 0
             assert all(1 <= c < p for row in rows.values() for c in row.values())
             assert rows == z_element(AlgebraContext(u2, u, field), l, alpha0, n).rows
@@ -491,8 +533,7 @@ def test_z_step_chain_over_a_whole_window(monkeypatch, slope, p, m, l):
         assert repr(state) == before
         assert c[0] == 1 and all(0 <= ci < p for ci in c)
         assert [ci for _, ci, _ in cols] == [ci for ci in c if ci]
-        fresh = algebra._z_fold(p, start(ctx, alpha0, len(e)), delta, len(e))
-        assert fresh[4] == cols
+        assert fold_z_state(ctx, alpha0, delta, len(e))[4] == cols
 
 
 def test_modular_reduction_matches_rationals():

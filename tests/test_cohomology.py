@@ -51,7 +51,7 @@ from reeslab.geometry import (
     period_data,
 )
 
-from oracles import decompose_element
+from oracles import decompose_element, fold_z_state
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -343,33 +343,60 @@ def test_d_set_warns_on_divisible_j():
 
 def test_window_sweep_builds_each_column_once(monkeypatch):
     # One sweep walks its levels upwards through one cursor: each alpha mod u
-    # is folded up from delta = 0 at most once, and only ever folded forward
-    # after that.
+    # is started at most once, at the delta it is first asked for, and only
+    # ever carried forward after that; each exponent j of (1-x)^j is made
+    # once per sweep, whatever the c_i it is scaled by.
     starts: dict = {}
     deltas: dict = {}
-    start, columns = algebra._z_start, algebra._z_columns
+    made: list = []
+    exponents: list = []
+    start, carry, columns = algebra._z_start, algebra._z_carry, algebra._z_columns
+    series, sweep = algebra._series, algebra._overlap_gap_rows
 
-    def counting_start(ctx, alpha0, width):
+    def counting_start(ctx, alpha0, delta, width):
         starts[alpha0] = starts.get(alpha0, 0) + 1
-        return start(ctx, alpha0, width)
+        made.append(("start", delta))
+        return start(ctx, alpha0, delta, width)
+
+    def counting_carry(p, state, delta, width):
+        made.append(("carry", state[0]))
+        return carry(p, state, delta, width)
 
     def forward_columns(ctx, alpha0, n, width, cursor):
+        made.clear()
         state = columns(ctx, alpha0, n, width, cursor)
+        assert made in ([], [("start", state[0])], [("carry", deltas.get(alpha0))])
         assert state[0] >= deltas.get(alpha0, 0)
         deltas[alpha0] = state[0]
         return state
 
+    def counting_series(j, l, p):
+        exponents.append(j)
+        return series(j, l, p)
+
+    def one_sweep(*args):
+        starts.clear()
+        deltas.clear()
+        exponents.clear()
+        rows = sweep(*args)
+        assert starts and max(starts.values()) == 1
+        assert len(exponents) == len(set(exponents))
+        sweeps.append(len(exponents))
+        return rows
+
     monkeypatch.setattr(algebra, "_z_start", counting_start)
+    monkeypatch.setattr(algebra, "_z_carry", counting_carry)
     monkeypatch.setattr(algebra, "_z_columns", forward_columns)
+    monkeypatch.setattr(algebra, "_series", counting_series)
+    monkeypatch.setattr(algebra, "_overlap_gap_rows", one_sweep)
     for char, m, l in [(5, 60, 120), (3, 72, 108), (2, 48, 96)]:
         ctx, ct, pd = worked(char)
         for policy in ("A", "B"):
-            starts.clear()
-            deltas.clear()
+            sweeps: list = []
             rep = cohomology_dims(ctx, ct, pd, m, l, policy=policy)
             assert char != 5 or rep.matrix.rank == 5
-            assert starts and set(starts) <= set(range(ctx.u))
-            assert max(starts.values()) == 1
+            assert len(sweeps) == 1 and sweeps[0] > 0
+            assert set(starts) <= set(range(ctx.u))
 
 
 def test_d_set_leaves_no_expansions_in_the_context():
@@ -466,42 +493,52 @@ def test_factorization_branching_and_budget():
 
 def test_factorization_backtracking_reuses_its_expansions(monkeypatch):
     # At p = 7 the m = 14 search on this slope -1/2 triangle branches and
-    # backs out of deeper levels; the next choice at a level reads that
-    # level's state (delta, c) again, restored as it was, so no alpha mod u
-    # is folded up from delta = 0 twice.
+    # backs out of deeper levels; the next choice at a level finds the
+    # cursor above that level's delta and starts again at that delta from
+    # the closed form, never at 0 with a carry up from there.
     tri = normalize_triangle([(F(-1, 5), F(1, 10)), (F(4, 5), F(-2, 5)), (0, 1)])
-    starts: dict = {}
+    made: list = []
     read: list = []
-    start, columns = algebra._z_start, algebra._z_columns
+    start, carry, columns = algebra._z_start, algebra._z_carry, algebra._z_columns
 
-    def counting_start(ctx, alpha0, width):
-        starts[alpha0] = starts.get(alpha0, 0) + 1
-        return start(ctx, alpha0, width)
+    def counting_start(ctx, alpha0, delta, width):
+        made.append(("start", delta))
+        return start(ctx, alpha0, delta, width)
+
+    def counting_carry(p, state, delta, width):
+        made.append(("carry", state[0]))
+        return carry(p, state, delta, width)
 
     def recording_columns(ctx, alpha0, n, width, cursor):
+        made.clear()
+        before = cursor.get(alpha0)
         state = columns(ctx, alpha0, n, width, cursor)
-        read.append((alpha0, n, state, repr(state)))
+        delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
+        assert state[0] == delta
+        assert made in ([], [("start", delta)], [("carry", before and before[0])])
+        read.append((alpha0, n, state, repr(state), made[:]))
         return state
 
     monkeypatch.setattr(algebra, "_z_start", counting_start)
+    monkeypatch.setattr(algebra, "_z_carry", counting_carry)
     monkeypatch.setattr(algebra, "_z_columns", recording_columns)
     ctx = context_for(tri, FieldSpec(7))
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), 14)
     assert out.branches_explored == 7
-    assert starts == {0: 1, 1: 1}
-    # Every state read is the one a fresh fold gives, and no later fold or
-    # restore changed it.
-    levels = {}
-    for alpha0, n, state, before in read:
+    # Every state read is the one the fold from delta = 0 gives, and no
+    # later carry or start changed it.
+    levels: dict = {}
+    for alpha0, n, state, before, _ in read:
         delta, c, e, _, cols = state
         assert repr(state) == before
-        assert delta == ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
-        fresh = algebra._z_fold(7, start(ctx, alpha0, len(e)), delta, len(e))
-        assert fresh[4] == cols
-        levels.setdefault((alpha0, n), set()).add(id(state))
-    # A level read again after a backtrack reads the restored state itself.
-    assert len(read) > len(levels)
-    assert all(len(ids) == 1 for ids in levels.values())
+        assert fold_z_state(ctx, alpha0, delta, len(e))[4] == cols
+        levels.setdefault((alpha0, n), []).append(cols)
+    # A level read again after a backtrack is started again, at its own
+    # delta above 0, and reads the same columns.
+    again = [kind for a0, n, _, _, kinds in read for kind in kinds
+             if kind[0] == "start" and len(levels[(a0, n)]) > 1]
+    assert again and all(d > 0 for _, d in again)
+    assert all(cols == seen[0] for seen in levels.values() for cols in seen)
 
 
 def test_no_branching_below_the_period():
