@@ -588,6 +588,14 @@ def _overlap_gap_rows(
     is every term of its z-tail, and of theirs, at every level of the
     window: no gap ever receives anything from it.
 
+    The reach.  Term k of column i lands at level n + i + k, which the deep
+    cut keeps below alpha + i - deep; so k < alpha - n - deep for every term
+    a tail adds.  A visit has alpha <= max_pb_col(n), and a seed may sit
+    anywhere, so no series needs more than reach = max(max_pb_col(n) - n
+    over the window, alpha - n over the seeds) - deep terms, nor more than
+    l - m.  Each (1-x)^j is made that long, once per sweep, and a tail that
+    would read past it raises InconsistencyError.
+
     The first-cone cut.  An entry with column >= top(N) is absorbed as an
     x-basis term of the first chart: the sweep drops it without reading it,
     and nothing else comes of it.  A column is first live where top first
@@ -609,7 +617,8 @@ def _overlap_gap_rows(
         return [_overlap_gap_rows(ctx, ct, m, l, [pos], policy)[0] for pos in overlaps]
     cols_a = [ct.min_pa_col(n) for n in range(m, l)]
     cols_b = [ct.max_pb_col(n) for n in range(m, l)]
-    deep = min(col_b - n for n, col_b in enumerate(cols_b, m))
+    depths = [col_b - n for n, col_b in enumerate(cols_b, m)]
+    deep = min(depths)
     # first[a]: the first level at which column a is live, for the columns
     # below the largest top(N) of the window; no later column ever is.
     first: list[int] = []
@@ -617,6 +626,8 @@ def _overlap_gap_rows(
         top = col_a if policy == "A" else max(col_a, col_b + 1)
         first.extend([n] * (top - len(first)))
     ncols = len(first)
+    # The length of every (1-x)^j series of this sweep (the reach above).
+    reach = min(l - m, max(depths + [alpha - n for alpha, n in overlaps]) - deep)
     # Only the non-deep second-cone positions with a nonnegative column are
     # visited, each at most once.
     visit_bound = sum(max(0, col_b - max(0, n + deep + 1) + 1)
@@ -643,7 +654,14 @@ def _overlap_gap_rows(
         # residual += mult * (z(alpha, n) without its leading term at level
         # n), on the live band of each column: term k of column i lands at
         # level n + i + k, below alpha + i - deep and below l.
+        # The reach bounds cap; the check keeps a change to the cuts from
+        # dropping the terms past it silently.
         cap, room = alpha - deep - n, l - n
+        if cap > room:
+            cap = room
+        elif cap > reach:
+            raise InconsistencyError(
+                f"z({alpha}, {n}) needs {cap} series terms, past the sweep's reach {reach}")
         # No column from ncols on is ever live.  Every seed and visit has
         # alpha >= n + deep, so span does not grow with n, and the cursor
         # only ever folds forward.
@@ -668,7 +686,7 @@ def _overlap_gap_rows(
                 plain = series.get(h - n)
                 if plain is None:
                     ks, vs = [], []
-                    for k, s in enumerate(_series(h - n, l - m, p)):
+                    for k, s in enumerate(_series(h - n, reach, p)):
                         if s:
                             ks.append(k)
                             vs.append(s)
@@ -681,9 +699,9 @@ def _overlap_gap_rows(
             start = bisect_left(ks, lo)
             stop = bisect_left(ks, hi, start)
             off = n + i - m
-            for k, v in zip(ks[start:stop], vs[start:stop]):
-                lvl = residual[off + k]
-                lvl[a] = lvl.get(a, 0) + v * mult
+            for t in range(start, stop):
+                lvl = residual[off + ks[t]]
+                lvl[a] = lvl.get(a, 0) + vs[t] * mult
 
     for n in range(m, l):
         for i, alpha in seeds.get(n, ()):

@@ -345,11 +345,14 @@ def test_window_sweep_builds_each_column_once(monkeypatch):
     # One sweep walks its levels upwards through one cursor: each alpha mod u
     # is started at most once, at the delta it is first asked for, and only
     # ever carried forward after that; each exponent j of (1-x)^j is made
-    # once per sweep, whatever the c_i it is scaled by.
+    # once per sweep, whatever the c_i it is scaled by, and only as long as
+    # the sweep's reach: max(max_pb_col(n) - n over the window, alpha - n
+    # over the seeds) - deep, well short of l - m.
     starts: dict = {}
     deltas: dict = {}
     made: list = []
     exponents: list = []
+    lengths: list = []
     start, carry, columns = algebra._z_start, algebra._z_carry, algebra._z_columns
     series, sweep = algebra._series, algebra._overlap_gap_rows
 
@@ -372,15 +375,21 @@ def test_window_sweep_builds_each_column_once(monkeypatch):
 
     def counting_series(j, l, p):
         exponents.append(j)
+        lengths.append(l)
         return series(j, l, p)
 
-    def one_sweep(*args):
+    def one_sweep(ctx, ct, m, l, overlaps, policy):
         starts.clear()
         deltas.clear()
         exponents.clear()
-        rows = sweep(*args)
+        lengths.clear()
+        rows = sweep(ctx, ct, m, l, overlaps, policy)
         assert starts and max(starts.values()) == 1
         assert len(exponents) == len(set(exponents))
+        depths = [ct.max_pb_col(n) - n for n in range(m, l)]
+        reach = max(depths + [a - n for a, n in overlaps]) - min(depths)
+        assert 0 < reach < (l - m) // 2
+        assert set(lengths) == {reach}
         sweeps.append(len(exponents))
         return rows
 
@@ -625,6 +634,26 @@ def test_window_sweep_matches_per_row_decomposition(char, policy, window, slack_
     want = oracle_rows(tri, char, m, l, rep.matrix.overlaps, policy)
     # Same entries in the same (level, column) order.
     assert [list(r.items()) for r in rep.matrix.rows] == [list(r.items()) for r in want]
+
+
+@pytest.mark.parametrize("policy", ["A", "B"])
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
+@settings(max_examples=8, deadline=None)
+@given(window=width_one_windows(), data=st.data())
+def test_window_sweep_takes_a_seed_anywhere(char, policy, window, data):
+    # subspace_decompose takes any position as a seed, not only an overlap.
+    # One seed at each column of a level's strip: the deep and the non-deep
+    # second cone, any overlap, the gaps, and three columns into the first
+    # cone.  A first-cone seed reaches further down its series than any
+    # second-cone visit, so this checks the sweep's series length too.
+    tri, m, l = window
+    ct = cone_tables(tri)
+    overlaps, _ = overlaps_and_gaps(ct, period_data(tri), m, l)
+    n = data.draw(st.sampled_from(sorted({m, l - 1} | {k for _, k in overlaps})))
+    seeds = [(a, n) for a in range(max(ct.min_pa_col(n), ct.max_pb_col(n) + 1) + 3)]
+    rows = subspace_decompose(context_for(tri, FieldSpec(char)), ct, m, l, seeds, policy).rows
+    want = oracle_rows(tri, char, m, l, seeds, policy)
+    assert [list(r.items()) for r in rows] == [list(r.items()) for r in want]
 
 
 @pytest.mark.parametrize("policy", ["A", "B"])
