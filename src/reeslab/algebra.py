@@ -539,6 +539,8 @@ def subspace_decompose(
     gap positions into the residual; what the gap positions take is the
     result.  All rows are reduced together in one sweep (_overlap_gap_rows).
     """
+    if not 0 <= m < l:
+        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     if policy not in ("A", "B"):
         raise RangeError(f"policy must be 'A' or 'B', got {policy!r}")
     return OverlapGaps(_overlap_gap_rows(ctx, ct, m, l, overlaps, policy))

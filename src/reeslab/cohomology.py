@@ -16,19 +16,20 @@ checked on every call.
 
 The (r, j) witness windows of the characteristic-p criteria are spelled
 once, by decision.d_set, which also runs the emission re-check of every
-window it finds with h0 > 0 (policy B at twice the scan margin).
+window it finds with h0 > 0 (a second sweep under policy B).
 
 The factorization search decides cone membership by the same per-level
 thresholds as the sweep (ConeTables.min_pa_col and max_pb_col); the
 per-position test pa_member only re-verifies a certificate it found.  Both
 thresholds are periodic in the level, so their memo holds at most two
-periods however many windows a table serves.  The sweep reads both
-thresholds once per window to bound the live band of every z-tail column:
-an entry whose column - level is at most the smallest max_pb_col(k) - k of
-the window stays in the second cone with its whole z-tail, and an entry at
-or past the first-cone threshold is absorbed by the first chart, so the
-sweep adds neither to its residual.  Its z-expansions come in column form,
-one binomial series per column (see algebra).
+periods however many windows a table serves, and each entry is certified
+against pa_member and pb_member once, when it is filled.  The sweep reads
+both thresholds once per window to bound the live band of every z-tail
+column: an entry whose column - level is at most the smallest
+max_pb_col(k) - k of the window stays in the second cone with its whole
+z-tail, and an entry at or past the first-cone threshold is absorbed by the
+first chart, so the sweep adds neither to its residual.  Its z-expansions
+come in column form, one binomial series per column (see algebra).
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .geometry import (
     PeriodData,
     overlaps_and_gaps,
     pa_member,
-    resolve_slack,
 )
 
 DEFAULT_BRANCH_BUDGET = 10_000
@@ -124,7 +124,7 @@ class CohomReport:
     chi_independent: int
     consistent: bool
     policy: str
-    slack: int
+    slack: int           # sigma, a field of the canonical report
     matrix: ObstructionMatrix
 
     def to_dict(self) -> dict:
@@ -153,13 +153,11 @@ def cohomology_dims(
     m: int,
     l: int,
     policy: str = "A",
-    slack: Optional[int] = None,
 ) -> CohomReport:
     """Section and obstruction dimensions of the restriction window [m, l)."""
     if not 0 <= m < l:
         raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
-    slack = resolve_slack(slack, pd.sigma)
-    overlaps, gaps = overlaps_and_gaps(ct, pd, m, l, slack=slack)
+    overlaps, gaps = overlaps_and_gaps(ct, pd, m, l)
     rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)
     h0 = len(overlaps) - rank
@@ -172,7 +170,7 @@ def cohomology_dims(
     return CohomReport(
         m=m, l=l, characteristic=ctx.field.characteristic,
         h0=h0, h1=h1, chi=chi, chi_independent=chi_independent,
-        consistent=True, policy=policy, slack=slack,
+        consistent=True, policy=policy, slack=pd.sigma,
         matrix=ObstructionMatrix(
             m=m, l=l, overlaps=overlaps, gaps=gaps, rows=rows,
             rank=rank, pivot_gaps=pivot_gaps,

@@ -14,9 +14,9 @@ Decision logic:
 d_set alone spells the witness window [sigma*j*p^r, sigma*(j+1)*p^r); the
 decision procedure and the reference-example suite reach theirs through
 it.  d_set also owns the emission re-check: a window with h0 > 0 is
-computed a second time under the other overlap routing (policy B) at twice
-the scan margin, and must give the same dimensions, so decide picks no
-routing policy and no scan margin itself.
+computed a second time, in a sweep of its own under the other overlap
+routing (policy B), and must give the same dimensions, so decide picks no
+routing policy itself.
 """
 
 from __future__ import annotations
@@ -118,15 +118,15 @@ def _emu_dict(rep) -> dict:
 
 def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -> CohomReport:
     """Report of the window [sigma*j*p^r, sigma*(j+1)*p^r), p the
-    characteristic of ctx, under policy A at slack sigma.
+    characteristic of ctx, under policy A.
 
     Requires width 1 (sigma = theta + theta_prime), so the window holds
     exactly p^r overlaps and h0 = p^r - rank: degree-zero sections vanish
     exactly when the pivot gaps (matrix.pivot_gaps) number p^r.  A window
-    with h0 > 0 is a witness, and is re-checked at once under policy B at
-    slack 2*sigma; differing dimensions raise InconsistencyError.  Each
-    sweep builds its own z-expansions, so the re-check shares no cached
-    state with the pass it checks.
+    with h0 > 0 is a witness, and is re-checked at once under policy B;
+    differing dimensions raise InconsistencyError.  Each sweep builds its
+    own z-expansions, so the re-check shares no cached state with the pass
+    it checks.
     """
     p = ctx.field.characteristic
     if not p:
@@ -143,7 +143,7 @@ def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -
         raise InconsistencyError(
             f"window [{rep.m}, {rep.l}) has {len(rep.matrix.overlaps)} overlaps, expected {q}")
     if rep.h0 > 0:
-        recheck = cohomology_dims(ctx, ct, pd, rep.m, rep.l, policy="B", slack=2 * pd.sigma)
+        recheck = cohomology_dims(ctx, ct, pd, rep.m, rep.l, policy="B")
         if (recheck.h0, recheck.h1) != (rep.h0, rep.h1):
             raise InconsistencyError(
                 f"witness window [{rep.m}, {rep.l}) failed its policy-B re-check")

@@ -63,7 +63,7 @@ class DegenerateError(InternalError):
 
 
 class ClaimViolation(InternalError):
-    """An overlap point outside the expected lattice was found."""
+    """A cone threshold or an overlap point broke the cone-strip law."""
 
 
 class InconsistencyError(InternalError):

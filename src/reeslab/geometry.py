@@ -18,7 +18,6 @@ from .errors import (
     ClaimViolation,
     DegenerateError,
     LevelError,
-    RangeError,
     ShapeError,
     SlopeError,
     TriangleFileError,
@@ -221,16 +220,23 @@ def _first_reaching(count, n: int) -> int:
     return lo
 
 
-def _periodic_reaching(memo: dict, period: tuple[int, int], count, n: int) -> int:
+def _periodic_reaching(memo: dict, period: tuple[int, int], count, member, n: int) -> int:
     """_first_reaching(count, n) for a count with count(k+P) = count(k) + Q,
-    (P, Q) = period: the answer grows by P when n >= 1 grows by Q.  memo
-    keeps the answers for n reduced into [0, 2Q)."""
+    (P, Q) = period: the answer grows by P when n >= 0 grows by Q.  memo
+    keeps the answers for n reduced into [0, 2Q), each certified when it is
+    filled: member(k, n) holds at the answer k and fails at k - 1, and at
+    n >= Q the answer is the one at n - Q plus P; else ClaimViolation."""
     step, q = period
     periods = max(0, n // q - 1)
     n -= periods * q
     k = memo.get(n)
     if k is None:
-        k = memo[n] = _first_reaching(count, n)
+        k = _first_reaching(count, n)
+        if not member(k, n) or member(k - 1, n):
+            raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
+        if n >= q and k != _periodic_reaching(memo, period, count, member, n - q) + step:
+            raise ClaimViolation(f"cone threshold {k} at level {n} breaks the period {period}")
+        memo[n] = k
     return k + periods * step
 
 
@@ -249,7 +255,8 @@ class ConeTables:
 
     Both counts are periodic up to a shift.  With P = lcm(s3, u) and Q =
     P*(sbar - ubar), a(i+P) = a(i) + Q; with P' = lcm(t3, u) and Q' =
-    P'*(ubar - tbar), b(-i-P') = b(-i) + Q'.  So for n >= 1
+    P'*(ubar - tbar), b(-i-P') = b(-i) + Q'.  The same formulas give at
+    most 0 at i = -1 for a and at i = 1 for b, so for n >= 0
 
         min_pa_col(n+Q) = min_pa_col(n) + P,
         max_pb_col(n+Q') = max_pb_col(n) + Q' - P',
@@ -257,6 +264,15 @@ class ConeTables:
     and an infinite slope gives a constant search result, (P, Q) = (0, 1).
     Each threshold is memoized on n reduced below 2Q, so its memo never
     holds more than 2Q entries however many levels are asked.
+
+    The thresholds decide membership at every column, since a(i) and b(-k)
+    are nondecreasing: floor(i*sbar) and floor(i*u2/u) do not fall as i
+    grows (sbar >= 0, u2 >= 0), and floor(-k*tbar) gains at least 1 per
+    step of k (-tbar >= 1) while -ceil(k*u2/u) loses at most 1 (u2 <= u).
+    A memo entry is certified once, when filled, through pa_member and
+    pb_member: its column is in the cone and the outer neighbour is not,
+    and from one period on it agrees with the period law.  The exact
+    period carries the check to every level that reuses the entry.
     """
 
     def __init__(self, sbar: Optional[Fraction], tbar: Optional[Fraction], ubar: Fraction):
@@ -284,6 +300,9 @@ class ConeTables:
             self._pb_period = (step, -step * u2 // u - step * self._t_num // self._t_den)
         self._pa_cache: dict[int, int] = {}
         self._pb_cache: dict[int, int] = {}
+        # Membership of search index k at level n: column k, column n - k.
+        self._pa_at = lambda k, n: pa_member(self, k, n)
+        self._pb_at = lambda k, n: pb_member(self, n - k, n)
 
     def a(self, i: int):
         if i < 0:
@@ -301,11 +320,12 @@ class ConeTables:
 
     def min_pa_col(self, n: int) -> int:
         """Smallest column alpha >= 0 with a(alpha) >= n+1."""
-        return _periodic_reaching(self._pa_cache, self._pa_period, self.a, n)
+        return _periodic_reaching(self._pa_cache, self._pa_period, self.a, self._pa_at, n)
 
     def max_pb_col(self, n: int) -> int:
         """Largest column n + i, i <= 0, with b(i) >= n+1."""
-        return n - _periodic_reaching(self._pb_cache, self._pb_period, self._b_back, n)
+        return n - _periodic_reaching(
+            self._pb_cache, self._pb_period, self._b_back, self._pb_at, n)
 
     def _b_back(self, k: int):
         return self.b(-k)
@@ -323,40 +343,28 @@ def pb_member(ct: ConeTables, alpha: int, n: int) -> bool:
     return n >= 0 and ct.b(alpha - n) >= n + 1
 
 
-def resolve_slack(slack: Optional[int], sigma: int) -> int:
-    """The verification margin of the gap scan: sigma unless set, and
-    never below sigma."""
-    if slack is None:
-        return sigma
-    if slack < sigma:
-        raise RangeError(f"slack {slack} is below sigma={sigma}")
-    return slack
-
-
 def overlaps_and_gaps(
-    ct: ConeTables,
-    pd: PeriodData,
-    m: int,
-    l: int,
-    slack: Optional[int] = None,
+    ct: ConeTables, pd: PeriodData, m: int, l: int,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Overlap and gap index pairs (alpha, n) for levels m <= n < l.
 
     Overlaps are the points k*(theta, sigma) in the window; gaps are the
-    positions covered by neither cone.  Every level is cross-checked against
-    the overlap-lattice law; a membership pattern outside it raises
-    ClaimViolation (input outside theorem hypotheses, or a bug).
+    positions covered by neither cone, the columns strictly between
+    max_pb_col(n) and min_pa_col(n), which decide membership at every column
+    (see ConeTables).  Every level is cross-checked against the
+    overlap-lattice law: the cones may meet only in the one column k*theta
+    at a level n = k*sigma, else ClaimViolation (input outside theorem
+    hypotheses, or a bug).  With the certified thresholds this is the whole
+    strip law: no overlap off the lattice, and no gap outside the strip.
     """
     if not 0 <= m < l:
         raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     sigma, theta = pd.sigma, pd.theta
-    slack = resolve_slack(slack, sigma)
     overlaps = [
         (k * theta, k * sigma)
         for k in range(-(-m // sigma), -(-l // sigma))
         if m <= k * sigma < l
     ]
-    expected = set(overlaps)
     gaps: list[tuple[int, int]] = []
     for n in range(m, l):
         col_a = ct.min_pa_col(n)
@@ -368,14 +376,6 @@ def overlaps_and_gaps(
                     f"level {n}: cones overlap on columns [{col_a}, {col_b}], "
                     f"expected only multiples of ({theta}, {sigma})")
         gaps.extend((alpha, n) for alpha in range(col_b + 1, col_a))
-        # Verification margin: re-derive memberships near the strip.
-        for alpha in range(min(col_b + 1, col_a) - slack, max(col_b, col_a - 1) + slack + 1):
-            in_a = pa_member(ct, alpha, n)
-            in_b = pb_member(ct, alpha, n)
-            if in_a and in_b and (alpha, n) not in expected:
-                raise ClaimViolation(f"unexpected overlap at ({alpha}, {n})")
-            if (not in_a and not in_b) != (col_b < alpha < col_a):
-                raise ClaimViolation(f"gap strip bounds wrong at ({alpha}, {n})")
     return overlaps, gaps
 
 

@@ -219,7 +219,7 @@ def test_char2_windows_have_sections():
         assert rep.h0 == q and rep.h1 == 3 * q
 
 
-def test_policy_and_slack_invariance():
+def test_policy_invariance():
     ctx, ct, pd = worked(5)
     rng = random.Random(424)
     for _ in range(8):
@@ -227,9 +227,7 @@ def test_policy_and_slack_invariance():
         l = m + rng.randint(1, 3 * pd.sigma)
         ra = cohomology_dims(ctx, ct, pd, m, l, policy="A")
         rb = cohomology_dims(ctx, ct, pd, m, l, policy="B")
-        rs = cohomology_dims(ctx, ct, pd, m, l, slack=2 * pd.sigma)
         assert (ra.h0, ra.h1, ra.matrix.rank) == (rb.h0, rb.h1, rb.matrix.rank)
-        assert (ra.h0, ra.h1, ra.matrix.rank) == (rs.h0, rs.h1, rs.matrix.rank)
 
 
 def test_window_shift_periodicity():
@@ -625,12 +623,11 @@ def width_one_windows(draw):
 @pytest.mark.parametrize("policy", ["A", "B"])
 @pytest.mark.parametrize("char", [0, 2, 3, 5, 7])
 @settings(max_examples=12, deadline=None)
-@given(window=width_one_windows(), slack_periods=st.sampled_from([1, 2]))
-def test_window_sweep_matches_per_row_decomposition(char, policy, window, slack_periods):
+@given(window=width_one_windows())
+def test_window_sweep_matches_per_row_decomposition(char, policy, window):
     tri, m, l = window
-    pd = period_data(tri)
-    rep = cohomology_dims(context_for(tri, FieldSpec(char)), cone_tables(tri), pd, m, l,
-                          policy=policy, slack=slack_periods * pd.sigma)
+    rep = cohomology_dims(context_for(tri, FieldSpec(char)), cone_tables(tri),
+                          period_data(tri), m, l, policy=policy)
     want = oracle_rows(tri, char, m, l, rep.matrix.overlaps, policy)
     # Same entries in the same (level, column) order.
     assert [list(r.items()) for r in rep.matrix.rows] == [list(r.items()) for r in want]
@@ -712,13 +709,12 @@ GOLDEN_WINDOWS = {
 @pytest.mark.parametrize("p, r, j", sorted(GOLDEN_WINDOWS))
 def test_witness_windows_match_their_golden_digests(p, r, j):
     # Obstruction rows, h0, h1 and pivot gaps of the windows
-    # [sigma*j*p^r, sigma*(j+1)*p^r), under policy A at slack sigma and
-    # policy B at slack 2*sigma.
+    # [sigma*j*p^r, sigma*(j+1)*p^r), under policy A and policy B.
     h0, h1, digest_a, digest_b = GOLDEN_WINDOWS[p, r, j]
     ctx, ct, pd = worked(p)
     m, l = pd.sigma * j * p**r, pd.sigma * (j + 1) * p**r
-    for policy, slack, digest in (("A", pd.sigma, digest_a), ("B", 2 * pd.sigma, digest_b)):
-        rep = cohomology_dims(ctx, ct, pd, m, l, policy=policy, slack=slack)
+    for policy, digest in (("A", digest_a), ("B", digest_b)):
+        rep = cohomology_dims(ctx, ct, pd, m, l, policy=policy)
         assert (rep.h0, rep.h1) == (h0, h1)
         assert window_digest(rep) == digest, policy
 
@@ -731,6 +727,13 @@ def test_family_result_answers_gap_residual():
     assert gaps.rows == rep.matrix.rows
     assert gaps.gap_residual == {(i, a, n): c for i, row in enumerate(rep.matrix.rows)
                                  for (a, n), c in row.items()}
+
+
+@pytest.mark.parametrize("m, l", [(12, 12), (24, 12)])
+def test_window_sweep_rejects_an_empty_window(m, l):
+    ctx, ct, _ = worked(5)
+    with pytest.raises(LevelError, match="need 0 <= m < l"):
+        subspace_decompose(ctx, ct, m, l, [])
 
 
 def test_window_sweep_rejects_a_negative_column():

@@ -23,7 +23,7 @@ from reeslab.decision import (
 )
 from reeslab.errors import InconsistencyError, RangeError
 from reeslab.fields import FieldSpec
-from reeslab.geometry import cone_tables, normalize_triangle, period_data, resolve_slack
+from reeslab.geometry import cone_tables, normalize_triangle, period_data
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -127,9 +127,9 @@ def count_windows(monkeypatch, tamper=None):
     original = decision.cohomology_dims
     calls = []
 
-    def counting(ctx, ct, pd, m, l, policy="A", slack=None):
+    def counting(ctx, ct, pd, m, l, policy="A"):
         calls.append((m, l, policy))
-        rep = original(ctx, ct, pd, m, l, policy=policy, slack=slack)
+        rep = original(ctx, ct, pd, m, l, policy=policy)
         return tamper(rep) if tamper and policy == "B" else rep
 
     monkeypatch.setattr(decision, "cohomology_dims", counting)
@@ -213,15 +213,6 @@ def test_scan_family_char2_member():
 def test_scan_family_rejects_out_of_range():
     with pytest.raises(RangeError):
         scan_family([F(3, 2)], FieldSpec(0))
-
-
-def test_resolve_slack_env():
-    # The slack is sigma unless set explicitly, and never below sigma.
-    assert resolve_slack(None, 12) == 12
-    assert resolve_slack(12, 12) == 12
-    assert resolve_slack(24, 12) == 24
-    with pytest.raises(RangeError):
-        resolve_slack(5, 12)
 
 
 def test_search_bounds_jmax_defaults():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reeslab import geometry
 from reeslab.errors import (
     ClaimViolation,
     DegenerateError,
@@ -376,10 +377,10 @@ def test_cone_tables_match_fraction_formula(tri):
 @given(normalized_triangles(), st.lists(st.integers(min_value=0, max_value=400),
                                         min_size=1, max_size=4))
 def test_cone_thresholds_decide_membership(tri, levels):
-    # The window sweep and the factorization search classify a column alpha
-    # at level n by the two thresholds alone, which needs a and b monotone at
-    # every column, not only inside the gap strip that overlaps_and_gaps
-    # re-checks.  The search meets negative columns too.
+    # The gap scan, the window sweep and the factorization search classify
+    # a column alpha at level n by the two thresholds alone, which needs a
+    # and b monotone at every column, not only at the boundary columns that
+    # ConeTables certifies.  The search meets negative columns too.
     ct = cone_tables(tri)
     for n in levels + [0, 400]:
         col_a, col_b = ct.min_pa_col(n), ct.max_pb_col(n)
@@ -402,6 +403,55 @@ def test_periodic_thresholds_match_the_galloping_search(tri, rng):
         assert ct.min_pa_col(n) == _first_reaching(ct.a, n), n
         assert ct.max_pb_col(n) == n - _first_reaching(lambda k: ct.b(-k), n), n
     assert len(ct._pa_cache) <= 2 * qa and len(ct._pb_cache) <= 2 * qb
+
+
+@pytest.mark.parametrize("threshold", ["min_pa_col", "max_pb_col"])
+def test_an_off_by_one_threshold_is_not_certified(threshold, monkeypatch):
+    # The memo entry of level 5 is one column off, that of level 4 is not;
+    # the boundary check made when an entry is filled rejects the first.
+    search = geometry._first_reaching
+    monkeypatch.setattr(geometry, "_first_reaching",
+                        lambda count, n: search(count, n) + (n == 5))
+    ct = cone_tables(normalize_triangle(WORKED))
+    getattr(ct, threshold)(4)
+    with pytest.raises(ClaimViolation, match="not its cone's edge"):
+        getattr(ct, threshold)(5)
+
+
+@pytest.mark.parametrize("vertices, threshold, period, bad", [
+    (WORKED, "min_pa_col", "_pa_period", (11, 12)),
+    (WORKED, "min_pa_col", "_pa_period", (10, 11)),
+    (WORKED, "max_pb_col", "_pb_period", (3, 12)),
+    (WORKED, "max_pb_col", "_pb_period", (2, 11)),
+    ([(-1, 0), (0, 0), (0, 1)], "min_pa_col", "_pa_period", (2, 1)),
+    (UNIT_RIGHT, "max_pb_col", "_pb_period", (2, 1)),
+], ids=["worked-a-P", "worked-a-Q", "worked-b-P", "worked-b-Q", "right-a", "right-b"])
+def test_a_wrong_period_is_not_certified(vertices, threshold, period, bad):
+    # On the worked example a(i+10) = a(i)+12 and b(-i-2) = b(-i)+12; the
+    # right triangles have period (1, 1), so only levels 0 and 1 are kept.
+    # A level past one period reuses a reduced memo entry, whose fill checks
+    # it against the entry one period down.
+    ct = cone_tables(normalize_triangle(vertices))
+    setattr(ct, period, bad)
+    with pytest.raises(ClaimViolation, match="breaks the period"):
+        getattr(ct, threshold)(100)
+
+
+def test_each_threshold_entry_costs_two_membership_calls(monkeypatch):
+    # A gap scan over five periods reads membership only when a memo entry
+    # is filled, twice per entry.
+    calls = []
+    for name in ("pa_member", "pb_member"):
+        member = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *args, member=member: calls.append(1) or member(*args))
+    tri = normalize_triangle(WORKED)
+    ct = cone_tables(tri)
+    ov, gp = overlaps_and_gaps(ct, period_data(tri), 60, 120)
+    assert len(ov) == 5 and len(gp) == 15
+    entries = len(ct._pa_cache) + len(ct._pb_cache)
+    assert 0 < entries <= 4 * 12
+    assert len(calls) == 2 * entries
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,14 +499,6 @@ def test_overlaps_and_gaps_level_zero():
         tri = normalize_triangle(verts)
         ov, gp = overlaps_and_gaps(cone_tables(tri), period_data(tri), 0, 1)
         assert ov == [(0, 0)] and gp == []
-
-
-def test_overlaps_and_gaps_slack_stability():
-    tri = normalize_triangle(WORKED)
-    pd = period_data(tri)
-    ct = cone_tables(tri)
-    base = overlaps_and_gaps(ct, pd, 0, 40, slack=pd.sigma)
-    assert base == overlaps_and_gaps(ct, pd, 0, 40, slack=2 * pd.sigma)
 
 
 def test_claim_violation_on_wrong_period_lattice():
