@@ -30,13 +30,13 @@ C(N, i-1); elsewhere q_(i-1) = c_(i-1) = C(delta + f_(i-2), i-1) = C(N,
 i-1) too, as f_(i-2) = f_(i-1).  So c'_i = C(N, i) + C(N, i-1) = C(N+1, i).
 A column shift by a multiple of u is a plain shift of every term.
 
-A computation that walks the levels upwards keeps a cursor, a dict from
-alpha mod u to its newest state: a higher delta is carried forward from it,
-a lower one, or a wider state, is started again from the closed form at its
-own delta (_z_start).  Each window sweep and each factorization search owns
-its cursor, so the states live only as long as the computation that walks
-them.  The window sweep reads the columns of a state directly; _z_rows_base
-spells them out as rows for every other caller.
+The window sweep is the one computation that keeps a cursor, a dict from
+alpha mod u to its newest state: walking the levels upwards, it starts a
+state once from the closed form at the delta first asked for (_z_start) and
+only ever carries it forward to a higher one; a request behind the cursor
+raises.  The states live only as long as the sweep.  Every other caller
+reads z(alpha, n) through _z_rows_base, which starts it from the closed
+form at its own delta and spells the columns out as rows.
 
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
@@ -81,9 +81,9 @@ Rows = dict  # level -> {column -> coefficient}
 @dataclass(frozen=True)
 class AlgebraContext:
     """Slope data ubar = -u2/u plus the base field.  Contexts and elements
-    are immutable values.  z-expansions live in their callers' cursors,
-    which start a state from the closed form of its column coefficients at
-    any w-exponent, so a context needs no cache of expansions."""
+    are immutable values.  Each z-expansion starts from the closed form of
+    its column coefficients, and only a window sweep keeps one past its
+    call, so a context needs no cache of expansions."""
 
     u2: int
     u: int
@@ -132,18 +132,17 @@ def _radd(rows: Rows, n: int, alpha: int, c, p: int) -> None:
             del rows[n]
 
 
-def _radd_row(rows: Rows, n: int, src: dict, c, p: int, shift: int = 0) -> None:
-    """rows[n] += c * src, src's columns shifted by shift; c None means 1.
-    Reduced mod p when p > 0, vanishing entries dropped.  A product is only
-    formed when c is given and a sum only when the slot holds a value, so
-    characteristic-0 coefficients keep their type."""
+def _radd_row(rows: Rows, n: int, src: dict, c, p: int) -> None:
+    """rows[n] += c * src, c None meaning 1, reduced mod p when p > 0 and
+    vanishing entries dropped.  A product is only formed when c is given and
+    a sum only when the slot holds a value, so characteristic-0 coefficients
+    keep their type."""
     row = rows.get(n)
     if row is None:
         row = rows[n] = {}
     for a, v in src.items():
         if c is not None:
             v = v * c
-        a += shift
         old = row.get(a)
         if old is not None:
             v = old + v
@@ -448,19 +447,23 @@ def _z_carry(p: int, state: tuple, delta: int, width: int) -> tuple:
 
 def _z_columns(ctx: AlgebraContext, alpha0: int, n: int, width: int, cursor: dict) -> tuple:
     """The state (see _z_start) of z(alpha0, n) over its first width
-    columns, read through the caller's cursor.
+    columns, read through an upward walk's cursor.
 
-    cursor maps alpha0 to its newest state.  A state below the delta of
-    z(alpha0, n) is carried forward to it (_z_carry); one above it, or with
-    fewer than width columns, is started again at that delta from the
-    closed form (_z_start), never folded up from delta = 0.  The result
-    becomes the newest state."""
+    cursor maps alpha0 to its newest state.  With none, the state is
+    started at the delta of z(alpha0, n) from the closed form (_z_start); a
+    state below that delta is carried forward to it (_z_carry), and one at
+    it is read as it is.  The cursor only walks forward: a state above that
+    delta, or with fewer than width columns, raises InconsistencyError.  The
+    result becomes the newest state."""
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
     if delta < 0:
         raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
     state = cursor.get(alpha0)
-    if state is None or state[0] > delta or len(state[2]) < width:
+    if state is None:
         state = _z_start(ctx, alpha0, delta, width)
+    elif state[0] > delta or len(state[2]) < width:
+        raise InconsistencyError(f"z({alpha0}, {n}) over {width} columns is behind the "
+                                 f"cursor's delta {state[0]} over {len(state[2])}")
     elif state[0] < delta:
         state = _z_carry(ctx.field.characteristic, state, delta, width)
     if state[1][0] != 1:
@@ -469,18 +472,17 @@ def _z_columns(ctx: AlgebraContext, alpha0: int, n: int, width: int, cursor: dic
     return state
 
 
-def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int,
-                 cursor: dict) -> tuple[Rows, int]:
-    """Expansion rows of z(alpha0, n) with alpha0 = alpha mod u, and the
-    column shift to apply.
+def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Rows:
+    """Expansion rows of z(alpha, n), started from the closed form at its
+    own delta.
 
-    Column i of the state from _z_columns (cursor is its cursor, and the
-    width l - n) holds c_i * (1-x)^(h_i - n) from level n + i on.  Every
-    expansion is checked to be exactly x(alpha0, n) at level n."""
-    alpha0 = alpha % ctx.u
+    Column i of the state of z(alpha0, n), alpha0 = alpha mod u, over l - n
+    columns holds c_i * (1-x)^(h_i - n) from level n + i on, at column
+    alpha + i.  Every expansion is checked to be exactly x(alpha, n) at
+    level n."""
     p = ctx.field.characteristic
     rows: Rows = {}
-    for i, ci, h in _z_columns(ctx, alpha0, n, l - n, cursor)[4]:
+    for i, ci, h in _z_columns(ctx, alpha % ctx.u, n, l - n, {})[4]:
         base = n + i
         if base >= l:
             break
@@ -489,10 +491,10 @@ def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int,
                 row = rows.get(base + k)
                 if row is None:
                     row = rows[base + k] = {}
-                row[alpha0 + i] = ci * s % p if p else ci * s
-    if rows.get(n) != {alpha0: 1}:
-        raise InconsistencyError(f"z({alpha0}, {n}) is not 1 * x({alpha0}, {n}) at level {n}")
-    return rows, alpha - alpha0
+                row[alpha + i] = ci * s % p if p else ci * s
+    if rows.get(n) != {alpha: 1}:
+        raise InconsistencyError(f"z({alpha}, {n}) is not 1 * x({alpha}, {n}) at level {n}")
+    return rows
 
 
 def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:
@@ -500,12 +502,7 @@ def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement
     (alpha, n), tail strictly above level n."""
     if not 0 <= n < l:
         raise LevelError(f"basis level {n} outside [0, {l})")
-    zrows, shift = _z_rows_base(ctx, l, alpha, n, {})
-    p = ctx.field.characteristic
-    rows: Rows = {}
-    for m, row in zrows.items():
-        _radd_row(rows, m, row, None, p, shift)
-    return AlgebraElement(ctx, l, rows)
+    return AlgebraElement(ctx, l, _z_rows_base(ctx, l, alpha, n))
 
 
 # ---------------------------------------------------------------------------

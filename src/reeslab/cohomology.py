@@ -30,6 +30,9 @@ max_pb_col(k) - k of the window stays in the second cone with its whole
 z-tail, and an entry at or past the first-cone threshold is absorbed by the
 first chart, so the sweep adds neither to its residual.  Its z-expansions
 come in column form, one binomial series per column (see algebra).
+The factorization search keeps no state but its branch count: it builds
+xi^m once, checks its certificate against it, and starts each z-expansion
+from its closed form (_z_rows_base), so a backtrack has nothing to restore.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ def per_level_chi(ct: ConeTables, n: int) -> int:
 
 @dataclass
 class ObstructionMatrix:
-    m: int
-    l: int
+    """A window's obstruction matrix; its levels are CohomReport.m and .l."""
+
     overlaps: list
     gaps: list
     rows: list           # one gap-residual dict per overlap, in overlap order
@@ -172,8 +175,7 @@ def cohomology_dims(
         h0=h0, h1=h1, chi=chi, chi_independent=chi_independent,
         consistent=True, policy=policy, slack=pd.sigma,
         matrix=ObstructionMatrix(
-            m=m, l=l, overlaps=overlaps, gaps=gaps, rows=rows,
-            rank=rank, pivot_gaps=pivot_gaps,
+            overlaps=overlaps, gaps=gaps, rows=rows, rank=rank, pivot_gaps=pivot_gaps,
         ),
     )
 
@@ -231,8 +233,8 @@ def factorization_search(
     Proceeds level by level on the residual; a nonzero gap coefficient is a
     definite obstruction for the current branch.  Overlap coefficients split
     into a free parameter searched over a finite grid, subject to the branch
-    budget.  A successful factorization is re-verified by recomputing the
-    product from scratch.
+    budget.  A successful factorization is re-verified by multiplying its
+    two units out against the one xi^m the search reduced.
     """
     if m < 1:
         raise RangeError("m must be a positive integer")
@@ -242,7 +244,6 @@ def factorization_search(
     fld = ctx.field
     target = xi_power(ctx, l, m)
     state = {"branches": 0, "obstruction": None}
-    cursor: dict = {}   # this search's z-expansions, one per alpha mod u
 
     def descend(u_a, u_b, rho, n):
         if n >= l:
@@ -296,9 +297,8 @@ def factorization_search(
             one_fa = AlgebraElement(ctx, l, fa_rows)
             fb_rows = {0: {0: fld.of_int(1)}}
             for alpha, c in fb.items():
-                zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
-                for zn, zrow in zrows.items():
-                    _radd_row(fb_rows, zn, zrow, c, fld.characteristic, shift)
+                for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
+                    _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
             one_fb = AlgebraElement(ctx, l, fb_rows)
             new_rho = multiply(multiply(invert_unit(one_fa), rho), invert_unit(one_fb))
             got = descend(multiply(u_a, one_fa), multiply(one_fb, u_b), new_rho, n + 1)
@@ -314,8 +314,8 @@ def factorization_search(
             branches_explored=state["branches"],
         )
     u_a, u_b = result
-    # Independent verification of the certificate.
-    if multiply(u_a, u_b) != xi_power(ctx, l, m):
+    # The certificate: the units multiply back to the xi^m the search reduced.
+    if multiply(u_a, u_b) != target:
         raise InconsistencyError("factorization certificate failed re-verification")
     for alpha, n in u_a.support():
         if (alpha, n) != (0, 0) and not pa_member(ct, alpha, n):

@@ -201,7 +201,7 @@ def laurent_multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
             if n >= l:
                 continue
             for a1, c1 in row1.items():
-                _radd_row(prod, n, row2, c1, p, a1)
+                _radd_row(prod, n, {a + a1: c for a, c in row2.items()}, c1, p)
     return canonicalize_from_laurent(ctx, l, prod)
 
 
@@ -253,7 +253,6 @@ def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
     a_part: dict = {}
     b_part: dict = {}
     gaps: dict = {}
-    cursor: dict = {}
     for n in range(m, l):
         row = residual.get(n)
         if not row:
@@ -267,9 +266,8 @@ def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
                 _radd(residual, n, alpha, -c, p)
             elif in_b:
                 b_part[(alpha, n)] = c
-                zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
-                for zn, zrow in zrows.items():
-                    _radd_row(residual, zn, zrow, -c, p, shift)
+                for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
+                    _radd_row(residual, zn, zrow, -c, p)
             else:
                 gaps[(alpha, n)] = c
                 _radd(residual, n, alpha, -c, p)

@@ -192,6 +192,22 @@ def test_criterion_06_small_characteristic_witnesses():
     report(6, f"char 2 (m=2) and char 3 (m=3) witnesses in {sw.elapsed:.3f}s")
 
 
+def test_worked_example_mirror_gets_the_same_verdicts():
+    # The mirror of the worked example under the lattice automorphism
+    # (x, y) -> (-x, x + y), which fixes the apex (0, 1).  It gives the same
+    # blown-up surface, so it must get the same answer in every
+    # characteristic: not finitely generated in char 0, and the A4
+    # witnesses at m = 2 in char 2 and m = 3 in char 3.
+    with Stopwatch(2.0) as sw:
+        tri = normalize_triangle([(F(-1, 6), F(1, 12)), (F(5, 6), F(-5, 12)), (0, 1)])
+        assert decide(tri, RATIONALS).status == NOT_FG_EXACT
+        for p, m in [(2, 2), (3, 3)]:
+            verdict = decide(tri, FieldSpec(p))
+            assert verdict.status == FG_WITNESS
+            assert verdict.witness == {"kind": "A4", "m": m}
+    report("6'", f"mirrored worked example: char 0, 2, 3 verdicts in {sw.elapsed:.3f}s")
+
+
 def test_criterion_07_char5_negative_instance():
     with Stopwatch(30.0) as sw:
         tri = normalize_triangle(WORKED)

@@ -25,7 +25,7 @@ from reeslab.algebra import (
     xi_power,
     z_element,
 )
-from reeslab.errors import ContextMismatch, LevelError, NotAUnit
+from reeslab.errors import ContextMismatch, InconsistencyError, LevelError, NotAUnit
 from reeslab.fields import RATIONALS, FieldSpec
 from reeslab.geometry import cone_tables, normalize_triangle
 
@@ -324,10 +324,22 @@ def test_z_integer_coefficients_over_q():
 
 
 def _cursor_z(ctx, l, alpha, n, cursor):
-    """z(alpha, n) read through a caller-held cursor, shifted to column alpha."""
-    zrows, shift = _z_rows_base(ctx, l, alpha, n, cursor)
-    return AlgebraElement(ctx, l, {zn: {a + shift: c for a, c in row.items()}
-                                   for zn, row in zrows.items()})
+    """z(alpha, n) read through a caller-held cursor (algebra._z_columns
+    over l - n columns) and spelled out at column alpha: column i holds
+    c_i * (1-x)^(h_i - n) from level n + i on."""
+    p = ctx.field.characteristic
+    rows: dict = {}
+    for i, ci, h in algebra._z_columns(ctx, alpha % ctx.u, n, l - n, cursor)[4]:
+        if n + i >= l:
+            break
+        for k, s in enumerate(_series(h - n, l - n - i, p)):
+            algebra._radd(rows, n + i + k, alpha + i, ci * s, p)
+    return AlgebraElement(ctx, l, rows)
+
+
+def _fresh_z(ctx, l, alpha, n):
+    """z(alpha, n) through _z_rows_base, started from the closed form."""
+    return AlgebraElement(ctx, l, _z_rows_base(ctx, l, alpha, n))
 
 
 @settings(max_examples=80, deadline=None)
@@ -339,10 +351,10 @@ def _cursor_z(ctx, l, alpha, n, cursor):
     data=st.data(),
 )
 def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
-    # One cursor, held across the requests, hits, carries forward or starts
-    # again below its newest w-exponent; z_element uses a fresh cursor and
-    # always starts from the closed form, and the product formula shares no
-    # code with either.
+    # In ascending order one cursor, held across the requests, starts,
+    # hits or carries forward; in any other order each request is started
+    # from the closed form by _z_rows_base, as z_element does.  The product
+    # formula shares no code with either.
     u2, u = slope
     field = FieldSpec(char)
     requests = data.draw(st.lists(
@@ -356,8 +368,12 @@ def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
     ctx = AlgebraContext(u2, u, field)
     cursor: dict = {}
     for alpha, n in requests:
-        got = _cursor_z(ctx, l, alpha, n, cursor)
-        assert cursor[alpha % u][0] == ctx.ceil_slope(alpha % u - n) - ctx.ceil_slope(alpha % u)
+        if order == "ascending":
+            got = _cursor_z(ctx, l, alpha, n, cursor)
+            delta = ctx.ceil_slope(alpha % u - n) - ctx.ceil_slope(alpha % u)
+            assert cursor[alpha % u][0] == delta
+        else:
+            got = _fresh_z(ctx, l, alpha, n)
         assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
         assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
 
@@ -371,14 +387,14 @@ def test_z_stepped_expansions_match_fresh_builds(slope, char, l, order, data):
 )
 def test_z_expansions_match_the_product_formula(slope, char, l, data):
     # The product x(alpha, 0) * w^delta * x^n * (1-x)^-n shares no code with
-    # the column form, read here through a cursor, through z_element and as
-    # the identity z(alpha0, n) = sum_i c_i * x(alpha0+i, n+i) *
-    # (1-x)^(h_i - n) summed through multiply and element_power.  n reaches
-    # l - 1, where a state holds a single column.
+    # the column form, read here through _z_rows_base, through z_element,
+    # through one cursor in ascending order and as the identity z(alpha0, n)
+    # = sum_i c_i * x(alpha0+i, n+i) * (1-x)^(h_i - n) summed through
+    # multiply and element_power.  n reaches l - 1, where a state holds a
+    # single column.
     u2, u = slope
     field = FieldSpec(char)
     ctx = AlgebraContext(u2, u, field)
-    cursor: dict = {}
     requests = data.draw(st.lists(
         st.tuples(st.integers(min_value=-8, max_value=8),
                   st.integers(min_value=0, max_value=l - 1)),
@@ -386,7 +402,7 @@ def test_z_expansions_match_the_product_formula(slope, char, l, data):
     one_minus_x = one(ctx, l) - (x_basis(ctx, l, 0, 1) if l > 1 else AlgebraElement(ctx, l, {}))
     for alpha, n in requests:
         want = product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
-        assert _cursor_z(ctx, l, alpha, n, cursor) == want
+        assert _fresh_z(ctx, l, alpha, n) == want
         assert z_element(AlgebraContext(u2, u, field), l, alpha, n) == want
         alpha0 = alpha % u
         delta, c, _, _, cols = algebra._z_columns(ctx, alpha0, n, l - n, {})
@@ -397,6 +413,10 @@ def test_z_expansions_match_the_product_formula(slope, char, l, data):
                 term = x_basis(ctx, l, alpha0 + i, n + i).scaled(field.of_int(ci))
                 got = got + multiply(term, element_power(one_minus_x, h - n))
         assert got == product_z_element(ctx, l, alpha0, n)
+    cursor: dict = {}
+    for alpha, n in sorted(requests, key=lambda an: an[1]):
+        want = product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
+        assert _cursor_z(ctx, l, alpha, n, cursor) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -451,11 +471,12 @@ def test_z_closed_form_start_matches_the_fold_from_zero(slope, char, delta, widt
 @pytest.mark.parametrize("slope", [(1, 2), (2, 3), (2, 5)])
 def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     # A fixed request order through one cursor takes every path of the
-    # lookup: a first start, a hit at the same w-exponent delta, a carry
-    # forward, a start again for a lower delta, and one for a wider state at
-    # the same delta.  Every start is at the requested delta, never at 0
-    # with a carry up from there.  A column shifted by a multiple of u reads
-    # the same state.
+    # lookup: a first start, a hit at the same w-exponent delta and carries
+    # forward.  The start is at the requested delta, never at 0 with a carry
+    # up from there.  A column shifted by a multiple of u reads the same
+    # state.  The cursor only walks forward: a request for a lower delta, or
+    # for a wider state at the same delta, raises and leaves the cursor as
+    # it was.
     u2, u = slope
     field = FieldSpec(char)
     l = 16
@@ -470,8 +491,8 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     def delta(n):
         return ctx.ceil_slope(1 - n) - ctx.ceil_slope(1)
 
-    # Levels with delta 1, 1, 3, 2, and 2 again one level lower (so one
-    # column wider), then the top level.
+    # Levels with delta 1, 1, 2, 2 again one level lower (so one column
+    # wider), 3, 2, then the top level.
     by_delta = {}
     for n in range(1, l):
         by_delta.setdefault(delta(n), []).append(n)
@@ -479,24 +500,30 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
     assert len(two) >= 2
     top = delta(l - 1)
     plan = [(by_delta[1][0], [("start", 1)]), (by_delta[1][0], []),
-            (by_delta[3][0], [("carry", 1, 3)]), (two[-1], [("start", 2)]),
-            (two[0], [("start", 2)]), (l - 1, [("carry", 2, top)])]
+            (two[-1], [("carry", 1, 2)]), (two[0], None),
+            (by_delta[3][0], [("carry", 2, 3)]), (two[-1], None),
+            (l - 1, [("carry", 3, top)])]
     cursor: dict = {}
     for n, paths in plan:
         for alpha in (1, 1 - 3 * u):
             made.clear()
+            if paths is None:
+                before = cursor[1]
+                with pytest.raises(InconsistencyError, match="behind the cursor"):
+                    _cursor_z(ctx, l, alpha, n, cursor)
+                assert made == [] and cursor[1] is before
+                continue
             got = _cursor_z(ctx, l, alpha, n, cursor)
             assert made == (paths if alpha == 1 else [])
             assert cursor[1][0] == delta(n)
             assert got == z_element(AlgebraContext(u2, u, field), l, alpha, n)
             assert got == product_z_element(AlgebraContext(u2, u, field), l, alpha, n)
     assert list(cursor) == [1]
-    # Through _z_rows_base a lower delta is always a wider request too; a
-    # narrow request below the cursor's delta starts again all the same.
+    # A narrow request below the cursor's delta raises all the same.
     made.clear()
-    state = algebra._z_columns(ctx, 1, two[-1], 1, cursor)
-    assert made == [("start", 2)] and state[0] == 2
-    assert state[4] == fold_z_state(ctx, 1, 2, 1)[4]
+    with pytest.raises(InconsistencyError, match="behind the cursor"):
+        algebra._z_columns(ctx, 1, two[-1], 1, cursor)
+    assert made == [] and cursor[1][0] == top
 
 
 @pytest.mark.parametrize("slope, p, m, l", [
@@ -505,9 +532,10 @@ def test_z_cursor_hits_steps_and_rebuilds(monkeypatch, slope, char):
 ])
 def test_z_step_chain_over_a_whole_window(monkeypatch, slope, p, m, l):
     # Every level n of the window is carried forward from level n - 1
-    # through one cursor, and must equal a fresh build; each alpha0 starts
-    # once, at the delta of level m, the coefficients stay reduced, and a
-    # carry never changes a state it started from.
+    # through one cursor (algebra._z_columns), and must equal a fresh
+    # build; each alpha0 starts once, at the delta of level m, the
+    # coefficients stay reduced, and a carry never changes a state it
+    # started from.
     u2, u = slope
     field = FieldSpec(p)
     ctx = AlgebraContext(u2, u, field)
@@ -520,10 +548,9 @@ def test_z_step_chain_over_a_whole_window(monkeypatch, slope, p, m, l):
     for alpha0 in range(u):
         for n in range(m, l):
             starts.clear()
-            rows, shift = _z_rows_base(ctx, l, alpha0, n, cursor)
+            rows = _cursor_z(ctx, l, alpha0, n, cursor).rows
             delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
             assert starts == ([(alpha0, delta)] if n == m else [])
-            assert shift == 0
             assert all(1 <= c < p for row in rows.values() for c in row.values())
             assert rows == z_element(AlgebraContext(u2, u, field), l, alpha0, n).rows
             states.append((alpha0, n, cursor[alpha0], repr(cursor[alpha0])))

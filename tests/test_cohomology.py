@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reeslab import algebra
+from reeslab import algebra, cohomology
 from reeslab.algebra import (
     OverlapGaps,
     context_for,
@@ -498,11 +498,11 @@ def test_factorization_branching_and_budget():
         factorization_search(ctx, ct, pd, 4, branch_budget=1)
 
 
-def test_factorization_backtracking_reuses_its_expansions(monkeypatch):
+def test_factorization_backtracking_starts_each_expansion_at_its_delta(monkeypatch):
     # At p = 7 the m = 14 search on this slope -1/2 triangle branches and
-    # backs out of deeper levels; the next choice at a level finds the
-    # cursor above that level's delta and starts again at that delta from
-    # the closed form, never at 0 with a carry up from there.
+    # backs out of deeper levels.  The search holds no cursor: every
+    # z-expansion it reads is one start from the closed form at its own
+    # delta, never a carry, and never at 0 with a carry up from there.
     tri = normalize_triangle([(F(-1, 5), F(1, 10)), (F(4, 5), F(-2, 5)), (0, 1)])
     made: list = []
     read: list = []
@@ -517,13 +517,12 @@ def test_factorization_backtracking_reuses_its_expansions(monkeypatch):
         return carry(p, state, delta, width)
 
     def recording_columns(ctx, alpha0, n, width, cursor):
+        assert cursor == {}
         made.clear()
-        before = cursor.get(alpha0)
         state = columns(ctx, alpha0, n, width, cursor)
         delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
-        assert state[0] == delta
-        assert made in ([], [("start", delta)], [("carry", before and before[0])])
-        read.append((alpha0, n, state, repr(state), made[:]))
+        assert state[0] == delta and made == [("start", delta)]
+        read.append((alpha0, n, state, repr(state)))
         return state
 
     monkeypatch.setattr(algebra, "_z_start", counting_start)
@@ -533,19 +532,57 @@ def test_factorization_backtracking_reuses_its_expansions(monkeypatch):
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), 14)
     assert out.branches_explored == 7
     # Every state read is the one the fold from delta = 0 gives, and no
-    # later carry or start changed it.
+    # later start changed it.
     levels: dict = {}
-    for alpha0, n, state, before, _ in read:
+    for alpha0, n, state, before in read:
         delta, c, e, _, cols = state
         assert repr(state) == before
         assert fold_z_state(ctx, alpha0, delta, len(e))[4] == cols
         levels.setdefault((alpha0, n), []).append(cols)
     # A level read again after a backtrack is started again, at its own
     # delta above 0, and reads the same columns.
-    again = [kind for a0, n, _, _, kinds in read for kind in kinds
-             if kind[0] == "start" and len(levels[(a0, n)]) > 1]
-    assert again and all(d > 0 for _, d in again)
+    again = [(a0, n) for (a0, n), seen in levels.items() if len(seen) > 1]
+    assert again and all(ctx.ceil_slope(a0 - n) > ctx.ceil_slope(a0) for a0, n in again)
     assert all(cols == seen[0] for seen in levels.values() for cols in seen)
+
+
+def test_factorization_builds_xi_once(monkeypatch):
+    # A successful search reduces xi^m and checks its certificate against
+    # that same element: one xi_power call, not a second build for the
+    # check.
+    calls: list = []
+    build = cohomology.xi_power
+    monkeypatch.setattr(cohomology, "xi_power",
+                        lambda ctx, l, m: calls.append((l, m)) or build(ctx, l, m))
+    ctx, ct, pd = worked(2)
+    out = factorization_search(ctx, ct, pd, 2)
+    assert out.success and calls == [(4, 2)]
+    assert multiply(out.unit_a, out.unit_b) == build(ctx, 4, 2)
+
+
+def test_factorization_rejects_a_perturbed_certificate(monkeypatch):
+    # The last product a successful search forms is its certificate check,
+    # u_a * u_b.  Perturbed by x(0, 3), it no longer equals xi^2 and the
+    # search raises instead of reporting the factorization.
+    ctx, ct, pd = worked(2)
+    product = cohomology.multiply
+    calls: list = []
+    monkeypatch.setattr(cohomology, "multiply",
+                        lambda a, b: calls.append(1) or product(a, b))
+    assert factorization_search(ctx, ct, pd, 2).success
+    last = len(calls)
+    calls.clear()
+
+    def perturbed(a, b):
+        calls.append(1)
+        out = product(a, b)
+        return out + x_basis(ctx, 4, 0, 3) if len(calls) == last else out
+
+    monkeypatch.setattr(cohomology, "multiply", perturbed)
+    with pytest.raises(InconsistencyError,
+                       match="factorization certificate failed re-verification"):
+        factorization_search(ctx, ct, pd, 2)
+    assert len(calls) == last
 
 
 def test_no_branching_below_the_period():
@@ -682,6 +719,41 @@ def test_window_sweep_at_a_large_prime(policy, monkeypatch):
     assert max(read) > 2 * p**2
     assert max(read) <= p - 1 + visits * (p - 1) ** 2
     assert masks == {(1 << (p - 1 + visits * (p - 1) ** 2).bit_length()) - 1}
+
+
+def width_one_triangles(max_denominator):
+    """Every normalized width-1 triangle with bottom slope -1/2, -1/3 or
+    -2/3 and left vertex x2 = -k/d, d <= max_denominator."""
+    for ubar in (F(-1, 2), F(-1, 3), F(-2, 3)):
+        for d in range(2, max_denominator + 1):
+            for k in range(1, d):
+                if math.gcd(k, d) == 1:
+                    x2 = F(-k, d)
+                    yield normalize_triangle(
+                        [(x2, ubar * x2), (x2 + 1, ubar * (x2 + 1)), (0, 1)])
+
+
+def test_integral_r0_windows_reduce_to_every_prime():
+    # z and xi have integer coefficients and the char-0 sweep never
+    # divides, so the obstruction rows of an r = 0 window [sigma*j,
+    # sigma*(j+1)) are integral, and reduced mod p they are the char-p rows
+    # of the same window; a rank can only drop mod p.  93 triangles, 3
+    # windows, 5 primes.
+    cases = 0
+    for tri in width_one_triangles(10):
+        ct, pd = cone_tables(tri), period_data(tri)
+        for j in (1, 2, 3):
+            m, l = pd.sigma * j, pd.sigma * (j + 1)
+            rep0 = cohomology_dims(context_for(tri, RATIONALS), ct, pd, m, l)
+            assert all(F(c).denominator == 1 for row in rep0.matrix.rows for c in row.values())
+            for p in (2, 3, 5, 7, 11):
+                rep = cohomology_dims(context_for(tri, FieldSpec(p)), ct, pd, m, l)
+                reduced = [{pos: int(c) % p for pos, c in row.items() if int(c) % p}
+                           for row in rep0.matrix.rows]
+                assert rep.matrix.rows == reduced, (tri, j, p)
+                assert rep.matrix.rank <= rep0.matrix.rank
+                cases += 1
+    assert cases == 1395
 
 
 def window_digest(rep):
