@@ -8,7 +8,8 @@ second family, z(alpha, n) = v^alpha * w^ceil((alpha-n)*ubar) * (x + x^2 +
 ...)^n, spans the other affine chart; its expansion is unitriangular against
 the x-basis (leading term at (alpha, n), tail strictly above level n).
 
-Every z-expansion has one binomial series per column.  With alpha0 in
+Every z-expansion, and every power of the chart transition unit xi =
+(1-x)^u * w^(-u2), has one binomial series per column.  With alpha0 in
 [0, u), f_i = floor((alpha0+i)*u2/u) - floor(alpha0*u2/u) and delta =
 ceil((alpha0-n)*ubar) - ceil(alpha0*ubar) >= 0,
 
@@ -29,6 +30,16 @@ where f steps up at i-1, q_(i-1) = c'_(i-1) = C(delta+1 + f_(i-2), i-1) =
 C(N, i-1); elsewhere q_(i-1) = c_(i-1) = C(delta + f_(i-2), i-1) = C(N,
 i-1) too, as f_(i-2) = f_(i-1).  So c'_i = C(N, i) + C(N, i-1) = C(N+1, i).
 A column shift by a multiple of u is a plain shift of every term.
+
+The form of x(alpha0, 0) * w^delta holds unchanged at delta < 0, with the
+generalized binomials C(N, i) = N(N-1)...(N-i+1)/i!: Pascal's rule holds
+for them, so w times the form at any delta is the form at delta + 1, and
+as w is a unit, induction down from c = (1) at delta = 0 gives w^delta.
+At delta < 0 the coefficients need not end.  xi^m = x(0, 0) * w^(-u2*m) *
+(1-x)^(u*m) is the case alpha0 = 0, delta = -u2*m with every column shifted
+by (1-x)^(u*m): column i holds C(f_(i-1) - u2*m, i) * (1-x)^(h_i + u*m)
+from level i on.  One loop (_spell_columns) spells z and xi as rows; the
+product route to xi through the inverse of w lives in tests/oracles.py.
 
 The window sweep is the one computation that keeps a cursor, a dict from
 alpha mod u to its newest state: walking the levels upwards, it starts a
@@ -300,24 +311,6 @@ def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(ctx, l, direct)
 
 
-def element_power(e: AlgebraElement, k: int) -> AlgebraElement:
-    if k < 0:
-        return element_power(invert_unit(e), -k)
-    result = one(e.ctx, e.level)
-    base = e
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base = multiply(base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
-def w_element(ctx: AlgebraContext, l: int) -> AlgebraElement:
-    """Canonical form of w = 1 - x + vx."""
-    return AlgebraElement(ctx, l, _times_w_rows(ctx, l, {0: {0: ctx.field.of_int(1)}}))
-
-
 # ---------------------------------------------------------------------------
 # Power series in x
 
@@ -336,19 +329,6 @@ def _series(j: int, l: int, p: int) -> list[int]:
             c = c * (i - j) // (i + 1)
             out.append(c)
     return [c % p for c in out] if p else out
-
-
-def _mul_x_series_rows(rows: Rows, series: list[int], l: int, p: int) -> Rows:
-    """rows * (sum_k series[k] x^k): pure level shifts, no column mixing."""
-    out: Rows = {}
-    for n, row in rows.items():
-        for k, s in enumerate(series):
-            if not s:
-                continue
-            if n + k >= l:
-                break
-            _radd_row(out, n + k, row, s, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +360,22 @@ def invert_unit(e: AlgebraElement) -> AlgebraElement:
     return acc.scaled(cinv)
 
 
-def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
-    """m-th power of the chart transition unit (1-x)^u * w^(-u2)."""
-    if l < 1:
-        raise LevelError("truncation level must be >= 1")
-    base = element_power(invert_unit(w_element(ctx, l)), ctx.u2 * m)
-    p = ctx.field.characteristic
-    return AlgebraElement(ctx, l, _mul_x_series_rows(base.rows, _series(ctx.u * m, l, p), l, p))
-
-
 # ---------------------------------------------------------------------------
 # The second basis
 
 
 def _z_start(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:
     """The state of column alpha0 at w-exponent delta over width columns,
-    from the closed form c_i = C(delta + f_(i-1), i).
+    from the closed form c_i = C(delta + f_(i-1), i); delta may be negative.
 
     A state is (delta, c, e, g, cols): c the coefficients (columns past its
     end are 0), e_i whether f steps up at i, g_i = f_i - i, and cols the
     nonzero columns as (i, c_i, h_i), with h_i = delta + g_i.  The binomials
     are made as exact integers along C(N, i) = C(N, i-1) * (N-i+1) / i, with
-    N one higher where f steps up, and reduced mod p as they are made; N - i
-    never grows, so the first exact zero ends c."""
+    N one higher where f steps up, and reduced mod p as they are made.  At
+    delta >= 0, c ends once N < i; at delta < 0 it may fill the width.  A
+    zero means 0 <= N < i, and N never falls while N - i never grows, so at
+    any delta the first exact zero ends c."""
     u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
     f0 = (alpha0 * u2) // u
     f = [((alpha0 + i) * u2) // u - f0 for i in range(width)]
@@ -472,29 +445,51 @@ def _z_columns(ctx: AlgebraContext, alpha0: int, n: int, width: int, cursor: dic
     return state
 
 
-def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Rows:
-    """Expansion rows of z(alpha, n), started from the closed form at its
-    own delta.
-
-    Column i of the state of z(alpha0, n), alpha0 = alpha mod u, over l - n
-    columns holds c_i * (1-x)^(h_i - n) from level n + i on, at column
-    alpha + i.  Every expansion is checked to be exactly x(alpha, n) at
-    level n."""
+def _spell_columns(ctx: AlgebraContext, l: int, cols: list, alpha: int, n: int,
+                   shift: int) -> Rows:
+    """Rows of the columns cols of a state (see _z_start), placed at column
+    alpha and level n: column alpha + i holds c_i * (1-x)^(h_i + shift) from
+    level n + i on, below l."""
     p = ctx.field.characteristic
     rows: Rows = {}
-    for i, ci, h in _z_columns(ctx, alpha % ctx.u, n, l - n, {})[4]:
+    for i, ci, h in cols:
         base = n + i
         if base >= l:
             break
-        for k, s in enumerate(_series(h - n, l - base, p)):
+        for k, s in enumerate(_series(h + shift, l - base, p)):
             if s:
                 row = rows.get(base + k)
                 if row is None:
                     row = rows[base + k] = {}
                 row[alpha + i] = ci * s % p if p else ci * s
+    return rows
+
+
+def _z_rows_base(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Rows:
+    """Expansion rows of z(alpha, n), started from the closed form at its
+    own delta.
+
+    The state of z(alpha0, n), alpha0 = alpha mod u, over l - n columns,
+    spelled at column alpha and level n with shift -n.  Every expansion is
+    checked to be exactly x(alpha, n) at level n."""
+    cols = _z_columns(ctx, alpha % ctx.u, n, l - n, {})[4]
+    rows = _spell_columns(ctx, l, cols, alpha, n, -n)
     if rows.get(n) != {alpha: 1}:
         raise InconsistencyError(f"z({alpha}, {n}) is not 1 * x({alpha}, {n}) at level {n}")
     return rows
+
+
+def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
+    """m-th power of the chart transition unit (1-x)^u * w^(-u2), from the
+    closed form of x(0, 0) * w^delta at delta = -u2*m (_z_start), spelled
+    with shift u*m: column i holds C(f_(i-1) - u2*m, i) * (1-x)^(h_i + u*m)
+    from level i on.  Checked to be exactly 1 at level 0."""
+    if l < 1:
+        raise LevelError("truncation level must be >= 1")
+    rows = _spell_columns(ctx, l, _z_start(ctx, 0, -ctx.u2 * m, l)[4], 0, 0, ctx.u * m)
+    if rows.get(0) != {0: 1}:
+        raise InconsistencyError(f"xi^{m} is not 1 at level 0")
+    return AlgebraElement(ctx, l, rows)
 
 
 def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:

@@ -31,8 +31,9 @@ z-tail, and an entry at or past the first-cone threshold is absorbed by the
 first chart, so the sweep adds neither to its residual.  Its z-expansions
 come in column form, one binomial series per column (see algebra).
 The factorization search keeps no state but its branch count: it builds
-xi^m once, checks its certificate against it, and starts each z-expansion
-from its closed form (_z_rows_base), so a backtrack has nothing to restore.
+xi^m once, in column form, and starts each z-expansion from its closed form
+(_z_rows_base), so a backtrack has nothing to restore.  Its certificate
+multiplies the units out by multiply, a route independent of that form.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def factorization_search(
             branches_explored=state["branches"],
         )
     u_a, u_b = result
-    # The certificate: the units multiply back to the xi^m the search reduced.
+    # The certificate: the units multiply back to the column-form xi^m.
     if multiply(u_a, u_b) != target:
         raise InconsistencyError("factorization certificate failed re-verification")
     for alpha, n in u_a.support():

@@ -31,6 +31,9 @@ INF = math.inf
 
 
 def _frac(x) -> Fraction:
+    """x as an exact Fraction; a float is refused, never read as binary."""
+    if isinstance(x, float):
+        raise ShapeError(f"coordinate {x!r} is a float; give it exactly, e.g. as a Fraction")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 

@@ -11,13 +11,19 @@
 * product_z_element multiplies out z(alpha, n) = x(alpha, 0) * w^delta *
   x^n * (1-x)^-n with multiply, element_power and w_element.  It checks
   the column form of z that algebra builds every expansion from.
+* product_xi_power multiplies out xi^m = (1-x)^(u*m) * w^(-u2*m), raising
+  the inverse of w (algebra.invert_unit) to the power u2*m.  It checks
+  algebra.xi_power, which spells the same column form at a negative
+  w-exponent, and it is the route xi_power took before that form.
 * fold_z_state reaches the column coefficients c(alpha0, delta) by delta
   carry passes from c = (1) at delta = 0.  It checks the closed form
   c_i = C(delta + f_(i-1), i) that algebra._z_start starts from.
 
 column_w_element spells x(alpha, n) * w^k in the column form, with the
 coefficients from fold_z_state, so that the tests can check the column form
-against generic multiplication.
+against generic multiplication.  w_element and element_power build w and the
+powers of an element by generic multiplication for these routes and the
+tests; no production route needs them.
 
 No module of reeslab uses these routes.
 """
@@ -34,11 +40,11 @@ from reeslab.algebra import (
     _radd,
     _radd_row,
     _series,
+    _times_w_rows,
     _z_rows_base,
-    element_power,
+    invert_unit,
     multiply,
     one,
-    w_element,
     x_basis,
     z_element,
 )
@@ -86,6 +92,35 @@ def column_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) ->
             if i + j + n < l:
                 _radd(rows, i + j + n, alpha + i, ci * s, p)
     return AlgebraElement(ctx, l, rows)
+
+
+def w_element(ctx: AlgebraContext, l: int) -> AlgebraElement:
+    """Canonical form of w = 1 - x + vx."""
+    return AlgebraElement(ctx, l, _times_w_rows(ctx, l, {0: {0: ctx.field.of_int(1)}}))
+
+
+def element_power(e: AlgebraElement, k: int) -> AlgebraElement:
+    """e^k by repeated squaring through multiply; k < 0 raises the inverse
+    from algebra.invert_unit."""
+    if k < 0:
+        return element_power(invert_unit(e), -k)
+    result = one(e.ctx, e.level)
+    base = e
+    while k:
+        if k & 1:
+            result = multiply(result, base)
+        base = multiply(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def product_xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
+    """xi^m = (1-x)^(u*m) * w^(-u2*m) as the product of a power of the
+    inverse of w and the series of (1-x)^(u*m), through multiply."""
+    p = ctx.field.characteristic
+    series = AlgebraElement(ctx, l, {k: {0: s} for k, s in enumerate(_series(ctx.u * m, l, p))
+                                     if s})
+    return multiply(element_power(invert_unit(w_element(ctx, l)), ctx.u2 * m), series)
 
 
 def product_z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:

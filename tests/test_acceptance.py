@@ -16,10 +16,8 @@ import pytest
 from reeslab.algebra import (
     AlgebraContext,
     context_for,
-    element_power,
     multiply,
     one,
-    w_element,
     x_basis,
     xi_power,
 )
@@ -49,7 +47,7 @@ from reeslab.geometry import (
     toric_data,
 )
 
-from oracles import column_w_element
+from oracles import column_w_element, element_power, w_element
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 

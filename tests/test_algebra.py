@@ -16,11 +16,9 @@ from reeslab.algebra import (
     _z_rows_base,
     context_for,
     dump_element,
-    element_power,
     invert_unit,
     multiply,
     one,
-    w_element,
     x_basis,
     xi_power,
     z_element,
@@ -32,11 +30,14 @@ from reeslab.geometry import cone_tables, normalize_triangle
 from oracles import (
     canonicalize_from_laurent,
     decompose_element,
+    element_power,
     laurent_multiply,
     column_w_element,
     fold_z_state,
+    product_xi_power,
     product_z_element,
     to_laurent,
+    w_element,
 )
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
@@ -290,6 +291,25 @@ def test_xi_w_identity():
             lhs = multiply(xi_power(ctx, l, m), element_power(w_element(ctx, l), m * ctx.u2))
             series = one(ctx, l) - x_basis(ctx, l, 0, 1)
             assert lhs == element_power(series, m * ctx.u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slope=st.sampled_from([(0, 1), (1, 1), (1, 2), (1, 3), (2, 3), (5, 6)]),
+    p=st.sampled_from([0, 2, 3, 5, 7]),
+    m=st.integers(min_value=-2, max_value=5),
+    extra=st.sampled_from([1, 2, 4, 7, "mu", "mu+3"]),
+)
+def test_xi_power_matches_the_product_route(slope, p, m, extra):
+    # The column form of xi^m at w-exponent -u2*m against the product of a
+    # power of the inverse of w and the series of (1-x)^(u*m).
+    ctx = AlgebraContext(*slope, FieldSpec(p))
+    l = {"mu": m * ctx.u, "mu+3": m * ctx.u + 3}.get(extra, extra)
+    if l < 1:
+        with pytest.raises(LevelError):
+            xi_power(ctx, l, m)
+        return
+    assert xi_power(ctx, l, m) == product_xi_power(ctx, l, m)
 
 
 def test_xi_char2_square():

@@ -38,6 +38,16 @@ def test_family_triangle_formula():
         family_triangle(F(1))
 
 
+def test_family_triangle_refuses_a_float():
+    # 2.1 read as its binary fraction would give sigma = 2^52, and a char-p
+    # search on it windows 2^52 levels long; only period_data is run here.
+    with pytest.raises(RangeError, match=r"2\.1"):
+        period_data(family_triangle(2.1))
+    with pytest.raises(RangeError, match=r"2\.5"):
+        period_data(family_triangle(2.5))
+    assert period_data(family_triangle("21/10")).sigma == 20
+
+
 def count_calls(monkeypatch, name):
     """Wrap geometry.<name> under every module name that holds it, like the
     benchmark tracer, so that a call from any layer is counted."""

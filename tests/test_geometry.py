@@ -92,6 +92,17 @@ def test_normalize_rejects_steep_bottom():
         normalize_triangle([(F(-1, 2), F(3, 4)), (F(1, 4), F(-3, 8)), (0, 1)])
 
 
+def test_normalize_refuses_float_coordinates():
+    # The worked example typed as floats: -5/6 is no binary fraction, so the
+    # float would give a width just past 1 instead of the triangle meant.
+    with pytest.raises(ShapeError, match=r"-0\.8333"):
+        period_data(normalize_triangle([(-5 / 6, 5 / 12), (1 / 6, -1 / 12), (0, 1)]))
+    with pytest.raises(ShapeError, match=r"0\.5"):
+        period_data(normalize_triangle([(F(-1, 2), F(1, 2)), (0.5, F(-1, 2)), (0, 1)]))
+    exact = normalize_triangle([("-5/6", "5/12"), ("1/6", "-1/12"), (0, 1)])
+    assert period_data(exact).sigma == 12
+
+
 def test_family_member_after_affine_map():
     # Oracle: apply the affine normalization map to the raw family triangle
     # (1,0), (0,0), (g,4) by hand and compare vertex sets.
