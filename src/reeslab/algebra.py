@@ -52,6 +52,16 @@ form at its own delta and spells the columns out as rows.
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
 
+Division by a unit b = c + b', c a nonzero constant and b' on levels >= 1,
+is one ascending pass (divide): with r = a, level n of the quotient is q_n
+= c^-1 * r_n, and q_n * b' is subtracted from r.  Every term of q_n * b'
+lies at level n+1 or above (the defect rule and w never lower a level), so
+r_n is final when it is read and r is 0 below l at the end.  The product is
+multiply's own rule (_multiply_rows), and invert_unit(e) is divide(1, e).
+The factorization search divides out each chart unit this way; the
+geometric series c^-1 * sum g^k for the inverse of c(1 - g) lives in
+tests/oracles.py.
+
 subspace_decompose is the one two-cone reduction: it reduces the overlap
 differences z - x of a restriction window into the two chart ideals, all rows
 in one ascending sweep.  It takes the window and its overlap positions as
@@ -282,15 +292,13 @@ def _times_w_rows(ctx: AlgebraContext, l: int, rows: Rows) -> Rows:
     return out
 
 
-def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
-    """Exact product in the truncation, canonical x-basis form."""
-    _check_same(e1, e2)
-    ctx, l = e1.ctx, e1.level
+def _multiply_rows(ctx: AlgebraContext, l: int, out: Rows, rows1: Rows, rows2: Rows) -> None:
+    """out += rows1 * rows2 in the level-l truncation, by the ceiling-defect
+    rule: the products with defect 1 are collected and multiplied by w once."""
     u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
-    direct: Rows = {}
     needw: Rows = {}
-    rows2 = sorted(e2.rows.items())
-    for n1, row1 in sorted(e1.rows.items()):
+    rows2 = sorted(rows2.items())
+    for n1, row1 in sorted(rows1.items()):
         for n2, row2 in rows2:
             n = n1 + n2
             if n >= l:
@@ -302,13 +310,20 @@ def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
                     delta = k1 - ((a2 * u2) // u) + ((a * u2) // u)
                     c = c1 * c2
                     if delta == 0:
-                        _radd(direct, n, a, c, p)
+                        _radd(out, n, a, c, p)
                     else:
                         _radd(needw, n, a, c, p)
     if needw:
         for n, row in _times_w_rows(ctx, l, needw).items():
-            _radd_row(direct, n, row, None, p)
-    return AlgebraElement(ctx, l, direct)
+            _radd_row(out, n, row, None, p)
+
+
+def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
+    """Exact product in the truncation, canonical x-basis form."""
+    _check_same(e1, e2)
+    rows: Rows = {}
+    _multiply_rows(e1.ctx, e1.level, rows, e1.rows, e2.rows)
+    return AlgebraElement(e1.ctx, e1.level, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +350,37 @@ def _series(j: int, l: int, p: int) -> list[int]:
 # Units
 
 
-def invert_unit(e: AlgebraElement) -> AlgebraElement:
-    """Two-sided inverse of a unit whose level-0 part is a nonzero constant."""
-    ctx, l = e.ctx, e.level
-    row0 = e.rows.get(0, {})
+def divide(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a * b^-1 for a unit b whose level-0 part is a nonzero constant c, in
+    one ascending pass over the remainder r = a: level n of the quotient is
+    c^-1 * r_n, and its product with b - c, which lies above level n, is
+    subtracted from r."""
+    _check_same(a, b)
+    ctx, l = a.ctx, a.level
+    row0 = b.rows.get(0, {})
     if set(row0) != {0}:
         raise NotAUnit("level-0 component is not a nonzero multiple of the identity")
-    c = row0[0]
-    cinv = ctx.field.inv(c)
-    # e = c(1 - g) with g supported on levels >= 1; inverse is c^-1 sum g^k.
+    cinv = ctx.field.inv(row0[0])
     p = ctx.field.characteristic
-    g_rows: Rows = {}
-    for n, row in e.rows.items():
-        if n >= 1:
-            _radd_row(g_rows, n, row, -cinv, p)
-    g = AlgebraElement(ctx, l, g_rows)
-    acc = one(ctx, l)
-    term = one(ctx, l)
-    for _ in range(1, l):
-        term = multiply(term, g)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc.scaled(cinv)
+    tail: Rows = {}   # -(b - c)
+    for n, row in b.rows.items():
+        if n:
+            _radd_row(tail, n, row, -1, p)
+    rest = {n: dict(row) for n, row in a.rows.items()}
+    quot: Rows = {}
+    for n in range(l):
+        row = rest.pop(n, None)
+        if not row:
+            continue
+        _radd_row(quot, n, row, cinv, p)
+        _multiply_rows(ctx, l, rest, {n: quot[n]}, tail)
+    return AlgebraElement(ctx, l, quot)
+
+
+def invert_unit(e: AlgebraElement) -> AlgebraElement:
+    """Two-sided inverse of a unit whose level-0 part is a nonzero constant:
+    1 divided by it."""
+    return divide(one(e.ctx, e.level), e)
 
 
 # ---------------------------------------------------------------------------

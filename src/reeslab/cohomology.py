@@ -32,8 +32,10 @@ first chart, so the sweep adds neither to its residual.  Its z-expansions
 come in column form, one binomial series per column (see algebra).
 The factorization search keeps no state but its branch count: it builds
 xi^m once, in column form, and starts each z-expansion from its closed form
-(_z_rows_base), so a backtrack has nothing to restore.  Its certificate
-multiplies the units out by multiply, a route independent of that form.
+(_z_rows_base), so a backtrack has nothing to restore.  At each level it
+divides the residual unit by the two chart units it picked, each in one
+ascending pass (algebra.divide).  Its certificate multiplies the units out
+by multiply, a route independent of the column form.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .algebra import (
     _radd_row,
     _z_rows_base,
     context_for,
+    divide,
     multiply,
-    invert_unit,
     one,
     subspace_decompose,
     xi_power,
@@ -301,7 +303,7 @@ def factorization_search(
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
             one_fb = AlgebraElement(ctx, l, fb_rows)
-            new_rho = multiply(multiply(invert_unit(one_fa), rho), invert_unit(one_fb))
+            new_rho = divide(divide(rho, one_fa), one_fb)
             got = descend(multiply(u_a, one_fa), multiply(one_fb, u_b), new_rho, n + 1)
             if got is not None:
                 return got

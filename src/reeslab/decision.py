@@ -203,7 +203,10 @@ def family_triangle(g) -> NormalizedTriangle:
     """Normalized triangle of the exact family member g in [2, 3]."""
     if isinstance(g, float):
         raise RangeError(f"family parameter g={g!r} is a float; give it exactly")
-    g = Fraction(g)
+    try:
+        g = Fraction(g)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise RangeError(f"family parameter g={g!r} is not an exact rational number") from None
     if not 2 <= g <= 3:
         raise RangeError(f"family parameter g={g} outside [2, 3]")
     return normalize_triangle([(g - 3, (3 - g) / 2), (g - 2, (2 - g) / 2), (0, 1)])

@@ -31,10 +31,14 @@ INF = math.inf
 
 
 def _frac(x) -> Fraction:
-    """x as an exact Fraction; a float is refused, never read as binary."""
+    """x as an exact Fraction; a float is refused, never read as binary, and
+    so is anything Fraction cannot read."""
     if isinstance(x, float):
         raise ShapeError(f"coordinate {x!r} is a float; give it exactly, e.g. as a Fraction")
-    return x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ShapeError(f"coordinate {x!r} is not an exact rational number") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,13 @@
   x^n * (1-x)^-n with multiply, element_power and w_element.  It checks
   the column form of z that algebra builds every expansion from.
 * product_xi_power multiplies out xi^m = (1-x)^(u*m) * w^(-u2*m), raising
-  the inverse of w (algebra.invert_unit) to the power u2*m.  It checks
+  the inverse of w (series_inverse) to the power u2*m.  It checks
   algebra.xi_power, which spells the same column form at a negative
   w-exponent, and it is the route xi_power took before that form.
+* series_inverse inverts a unit c(1 - g) as the geometric series
+  c^-1 * sum g^k, through multiply.  It checks algebra.divide, the one-pass
+  division that algebra.invert_unit also runs, and keeps the product
+  routes above independent of it.
 * fold_z_state reaches the column coefficients c(alpha0, delta) by delta
   carry passes from c = (1) at delta = 0.  It checks the closed form
   c_i = C(delta + f_(i-1), i) that algebra._z_start starts from.
@@ -42,13 +46,12 @@ from reeslab.algebra import (
     _series,
     _times_w_rows,
     _z_rows_base,
-    invert_unit,
     multiply,
     one,
     x_basis,
     z_element,
 )
-from reeslab.errors import LevelError, NotInF
+from reeslab.errors import LevelError, NotAUnit, NotInF
 from reeslab.geometry import ConeTables, pa_member, pb_member
 
 Rows = dict  # level -> {column -> coefficient}
@@ -99,11 +102,36 @@ def w_element(ctx: AlgebraContext, l: int) -> AlgebraElement:
     return AlgebraElement(ctx, l, _times_w_rows(ctx, l, {0: {0: ctx.field.of_int(1)}}))
 
 
+def series_inverse(e: AlgebraElement) -> AlgebraElement:
+    """Two-sided inverse of a unit whose level-0 part is a nonzero constant
+    c: with e = c(1 - g), g supported on levels >= 1, the inverse is
+    c^-1 * sum g^k, summed until g^k vanishes in the truncation."""
+    ctx, l = e.ctx, e.level
+    row0 = e.rows.get(0, {})
+    if set(row0) != {0}:
+        raise NotAUnit("level-0 component is not a nonzero multiple of the identity")
+    cinv = ctx.field.inv(row0[0])
+    p = ctx.field.characteristic
+    g_rows: Rows = {}
+    for n, row in e.rows.items():
+        if n >= 1:
+            _radd_row(g_rows, n, row, -cinv, p)
+    g = AlgebraElement(ctx, l, g_rows)
+    acc = one(ctx, l)
+    term = one(ctx, l)
+    for _ in range(1, l):
+        term = multiply(term, g)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc.scaled(cinv)
+
+
 def element_power(e: AlgebraElement, k: int) -> AlgebraElement:
     """e^k by repeated squaring through multiply; k < 0 raises the inverse
-    from algebra.invert_unit."""
+    from series_inverse."""
     if k < 0:
-        return element_power(invert_unit(e), -k)
+        return element_power(series_inverse(e), -k)
     result = one(e.ctx, e.level)
     base = e
     while k:
@@ -120,7 +148,7 @@ def product_xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
     p = ctx.field.characteristic
     series = AlgebraElement(ctx, l, {k: {0: s} for k, s in enumerate(_series(ctx.u * m, l, p))
                                      if s})
-    return multiply(element_power(invert_unit(w_element(ctx, l)), ctx.u2 * m), series)
+    return multiply(element_power(series_inverse(w_element(ctx, l)), ctx.u2 * m), series)
 
 
 def product_z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:

@@ -15,6 +15,7 @@ from reeslab.algebra import (
     _series,
     _z_rows_base,
     context_for,
+    divide,
     dump_element,
     invert_unit,
     multiply,
@@ -36,6 +37,7 @@ from oracles import (
     fold_z_state,
     product_xi_power,
     product_z_element,
+    series_inverse,
     to_laurent,
     w_element,
 )
@@ -261,12 +263,56 @@ def test_invert_w():
 
 
 def test_invert_rejects_non_units():
-    with pytest.raises(NotAUnit):
-        invert_unit(x_basis(CTX_Q, 4, 0, 1))
-    with pytest.raises(NotAUnit):
-        invert_unit(x_basis(CTX_Q, 4, 2, 0))
-    with pytest.raises(NotAUnit):
-        invert_unit(AlgebraElement(CTX_Q, 4, {}))
+    a = elem(CTX_Q, 4, {(0, 0): 1, (1, 2): 3})
+    for e in (x_basis(CTX_Q, 4, 0, 1), x_basis(CTX_Q, 4, 2, 0), AlgebraElement(CTX_Q, 4, {}),
+              one(CTX_Q, 4) + x_basis(CTX_Q, 4, 1, 0)):
+        with pytest.raises(NotAUnit):
+            invert_unit(e)
+        with pytest.raises(NotAUnit):
+            divide(a, e)
+        with pytest.raises(NotAUnit):
+            series_inverse(e)
+    with pytest.raises(ContextMismatch):
+        divide(a, one(CTX_F5, 4))
+    with pytest.raises(ContextMismatch):
+        divide(a, one(CTX_Q, 5))
+
+
+DIVIDE_SLOPES = [(0, 1), (1, 2), (1, 3), (2, 3), (5, 6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIVIDE_SLOPES), st.sampled_from([0, 2, 3, 5, 7]),
+       st.integers(min_value=1, max_value=10), st.booleans(), st.data())
+def test_divide_matches_the_series_inverse(slope, p, l, z_unit, data):
+    # b = k * (1 + f * x(alpha, n)), a single-level unit, or k * (1 + f *
+    # z(alpha, n)) with its whole tail: the one-pass quotient a / b times b
+    # is a again, and it equals a times the geometric-series inverse of b.
+    ctx = AlgebraContext(*slope, FieldSpec(p))
+    fld = ctx.field
+
+    def coeff():
+        num = data.draw(st.integers(min_value=-6, max_value=6).filter(
+            lambda c: (c % p if p else c) != 0))
+        den = 1 if p else data.draw(st.integers(min_value=1, max_value=3))
+        return fld.of_fraction(F(num, den))
+
+    positions = st.tuples(st.integers(min_value=-4, max_value=8),
+                          st.integers(min_value=0, max_value=l - 1))
+    a = AlgebraElement(ctx, l, {})
+    for alpha, n in data.draw(st.lists(positions, max_size=6)):
+        a = a + x_basis(ctx, l, alpha, n).scaled(coeff())
+    b = one(ctx, l)
+    if l > 1:
+        alpha = data.draw(st.integers(min_value=-4, max_value=8))
+        n = data.draw(st.integers(min_value=1, max_value=l - 1))
+        part = z_element(ctx, l, alpha, n) if z_unit else x_basis(ctx, l, alpha, n)
+        b = b + part.scaled(coeff())
+    b = b.scaled(coeff())
+    q = divide(a, b)
+    assert multiply(q, b) == a
+    assert q == multiply(a, series_inverse(b))
+    assert invert_unit(b) == series_inverse(b)
 
 
 # ---------------------------------------------------------------------------

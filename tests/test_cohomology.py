@@ -585,6 +585,68 @@ def test_factorization_rejects_a_perturbed_certificate(monkeypatch):
     assert len(calls) == last
 
 
+UNIT_RIGHT = [(0, 0), (1, 0), (0, 1)]
+SLOPE_2_3 = [(F(-1, 3), F(2, 9)), (F(2, 3), F(-4, 9)), (0, 1)]
+SLOPE_1_2 = [(F(-1, 5), F(1, 10)), (F(4, 5), F(-2, 5)), (0, 1)]
+# (triangle, p, m, the outcome dict less kind/m/l, the sha256 of the units'
+# dumps), as the search gave them when it divided by each chart unit through
+# its geometric-series inverse.  The worked example at m = 1..4; the unit
+# right triangle, which branches at every level; a char-0 success with
+# rational units at level 12; and a char-7 search that backtracks.
+SERIES_ROUTE_OUTCOMES = [
+    (WORKED, 0, 1, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '-1']]}}, None),
+    (WORKED, 0, 2, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '-2']]}}, None),
+    (WORKED, 0, 3, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '-3']]}}, None),
+    (WORKED, 0, 4, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '-4']]}}, None),
+    (WORKED, 2, 1, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '1']]}}, None),
+    (WORKED, 2, 2, {'success': True, 'branches_explored': 0},
+     'e8783f7c2a63d1e8f6cee736ab4d61ae4b6ffa34589391fb0753c146c461b054'),
+    (WORKED, 2, 3, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '1']]}}, None),
+    (WORKED, 2, 4, {'success': True, 'branches_explored': 0},
+     '0934826fab3b6de9c220edeeee73cb19f3eda8cc1786433d9586c43b47342c65'),
+    (WORKED, 3, 1, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '2']]}}, None),
+    (WORKED, 3, 2, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '1']]}}, None),
+    (WORKED, 3, 3, {'success': True, 'branches_explored': 0},
+     'b6767f3e6129598699d2e4741853bf280d92e1a387daa61c2d3bde4ddbc6c972'),
+    (WORKED, 3, 4, {'success': False, 'branches_explored': 0,
+                    'obstruction': {'level': 1, 'residual': [[1, 1, '2']]}}, None),
+    (UNIT_RIGHT, 0, 4, {'success': True, 'branches_explored': 3},
+     '6b7cd1a3d88c6d76d6c98c87668a298b9a4d4742ad8dbc1ce7d00c72f2354e89'),
+    (UNIT_RIGHT, 3, 4, {'success': True, 'branches_explored': 3},
+     '0ad7c32f513419c617d69b679915d9543acf02d8caf614bdf3687d4f5bbbc6f7'),
+    (SLOPE_2_3, 0, 4, {'success': True, 'branches_explored': 0},
+     '13121209b49b46cdcc356e3640944c31bd678247eba10c4158a7514e3387c6cd'),
+    (SLOPE_1_2, 7, 14, {'success': False, 'branches_explored': 7,
+                        'obstruction': {'level': 11, 'residual': [[2, 11, '6']]}}, None),
+]
+
+
+def test_factorization_divides_without_a_series_inverse(monkeypatch):
+    # The search divides by each chart unit in one pass (algebra.divide) and
+    # never inverts one; its outcomes and units are those of the series route.
+    def refuse(e):
+        raise AssertionError("the factorization search inverted a unit")
+
+    for module in (algebra, cohomology):
+        monkeypatch.setattr(module, "invert_unit", refuse, raising=False)
+    for vertices, p, m, expected, units in SERIES_ROUTE_OUTCOMES:
+        tri = normalize_triangle(vertices)
+        out = factorization_search(context_for(tri, FieldSpec(p)), cone_tables(tri),
+                                   period_data(tri), m)
+        assert out.to_dict() == {"kind": "A4", "m": m, "l": m * tri.u, **expected}
+        dumps = (f"{algebra.dump_element(out.unit_a)}\n--\n"
+                 f"{algebra.dump_element(out.unit_b)}") if out.success else None
+        assert (dumps and hashlib.sha256(dumps.encode()).hexdigest()) == units
+
+
 def test_no_branching_below_the_period():
     # Inside level m*u <= sigma no overlap can occur, so the searched paths
     # never split for the acceptance-range instances.

@@ -48,6 +48,14 @@ def test_family_triangle_refuses_a_float():
     assert period_data(family_triangle("21/10")).sigma == 20
 
 
+@pytest.mark.parametrize("g", ["abc", 1j])
+def test_family_triangle_refuses_a_parameter_that_is_no_rational_number(g):
+    # Fraction raises ValueError on "abc" and TypeError on 1j; either would
+    # escape as no InputError (exit code 2).
+    with pytest.raises(RangeError, match="is not an exact rational number"):
+        family_triangle(g)
+
+
 def count_calls(monkeypatch, name):
     """Wrap geometry.<name> under every module name that holds it, like the
     benchmark tracer, so that a call from any layer is counted."""

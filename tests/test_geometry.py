@@ -103,6 +103,12 @@ def test_normalize_refuses_float_coordinates():
     assert period_data(exact).sigma == 12
 
 
+def test_normalize_refuses_coordinates_that_are_no_rational_number():
+    # Fraction's own ValueError would escape as no InputError (exit code 2).
+    with pytest.raises(ShapeError, match="'x' is not an exact rational number"):
+        normalize_triangle([("x", "1"), (0, 0), (0, 1)])
+
+
 def test_family_member_after_affine_map():
     # Oracle: apply the affine normalization map to the raw family triangle
     # (1,0), (0,0), (g,4) by hand and compare vertex sets.
