@@ -64,11 +64,12 @@ tests/oracles.py.
 
 subspace_decompose is the one two-cone reduction: it reduces the overlap
 differences z - x of a restriction window into the two chart ideals, all rows
-in one ascending sweep.  It takes the window and its overlap positions as
-plain arguments; there is no OverlapDifferences wrapper.  The independent
-routes live in tests/oracles.py: the per-element reduction with its
-certificate checks the sweep, and the Laurent-polynomial model (coefficients
-of v^alpha x^n) checks products.
+in one ascending sweep, in its own body.  It takes the window and its overlap
+positions as plain arguments, and routes every residual column by one
+per-level table of first-cone tops, which is where the policy enters.  The
+independent routes live in tests/oracles.py: the per-element reduction with
+its certificate checks the sweep, and the Laurent-polynomial model
+(coefficients of v^alpha x^n) checks products.
 
 Coefficients are added, scaled and reduced mod p in two helpers: _radd adds
 one term and _radd_row a scaled row.  The window engine's loops, the carry
@@ -332,17 +333,13 @@ def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
 
 def _series(j: int, l: int, p: int) -> list[int]:
     """Coefficients of (1-x)^j mod x^l, j may be negative: the exact
-    integers, reduced mod p when p > 0."""
+    integers, reduced mod p when p > 0.  One recurrence, c_(i+1) = c_i *
+    (i - j) / (i + 1); at j >= 0 it reaches 0 past x^j, where the list ends."""
     out = [1]
     c = 1
-    if j >= 0:
-        for i in range(min(j, l - 1)):
-            c = -c * (j - i) // (i + 1)
-            out.append(c)
-    else:
-        for i in range(l - 1):
-            c = c * (i - j) // (i + 1)
-            out.append(c)
+    for i in range(min(j, l - 1) if j >= 0 else l - 1):
+        c = c * (i - j) // (i + 1)
+        out.append(c)
     return [c % p for c in out] if p else out
 
 
@@ -541,26 +538,6 @@ class OverlapGaps:
         return {(i, a, n): c for i, row in enumerate(self.rows) for (a, n), c in row.items()}
 
 
-def subspace_decompose(
-    ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list, policy: str = "A",
-) -> OverlapGaps:
-    """Greedy ascending-level reduction of the differences z(alpha, n) -
-    x(alpha, n), one per overlap (alpha, n) of the window [m, l), into
-    A(m,l) + B(m,l) + gaps.
-
-    At each level, coefficients at first-cone positions are absorbed as x-basis
-    terms, second-cone positions as z-basis terms (subtracting the full z
-    tail from the residual), overlap positions per the routing policy, and
-    gap positions into the residual; what the gap positions take is the
-    result.  All rows are reduced together in one sweep (_overlap_gap_rows).
-    """
-    if not 0 <= m < l:
-        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
-    if policy not in ("A", "B"):
-        raise RangeError(f"policy must be 'A' or 'B', got {policy!r}")
-    return OverlapGaps(_overlap_gap_rows(ctx, ct, m, l, overlaps, policy))
-
-
 def _slot_width(p: int, visits: int) -> int:
     """Bits per packed coefficient slot in characteristic p.  A slot gets
     less than p from its row's seed and at most (p-1)^2 from each of at most
@@ -573,28 +550,31 @@ def _slots(v: int, offsets: list, mask: int) -> list:
     return [(v >> s) & mask for s in offsets]
 
 
-def _overlap_gap_rows(
-    ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list, policy: str,
-) -> list[dict]:
-    """Gap residuals of z(alpha, n) - x(alpha, n) on [m, l), one dict
-    {(alpha, n): coeff} per overlap (alpha, n), in one ascending-level sweep.
+def subspace_decompose(
+    ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list, policy: str = "A",
+) -> OverlapGaps:
+    """Gap residuals of z(alpha, n) - x(alpha, n) on the window [m, l), one
+    row per position (alpha, n) of overlaps, in one greedy ascending-level
+    sweep into A(m,l) + B(m,l) + gaps.
 
-    The body of subspace_decompose, run on all rows together.
-    Row i's z-tail enters the residual when the sweep reaches its level, and
-    each second-cone position is reduced once for all rows, walking its
-    z-tail once.  Cone membership comes from the two per-level thresholds: a
-    residual column alpha >= 0 is in the first cone iff alpha >=
-    min_pa_col(n), in the second iff alpha <= max_pb_col(n).
+    Every residual column routes by one per-level table, top(n) =
+    min_pa_col(n) under policy A and max(min_pa_col(n), max_pb_col(n) + 1)
+    under policy B.  A column >= top(n) is absorbed by the first chart as an
+    x-basis term.  A column <= max_pb_col(n) below top(n) is a second-cone
+    position, absorbed as a z-basis term, which adds the live band (below)
+    of its z-tail to the residual.  Any other column is a gap, and what the
+    gaps take is the result.  Row i's z-tail enters the residual when the
+    sweep reaches its level, and each second-cone position is reduced once
+    for all rows, walking its z-tail once.
 
     A tail is walked in its column form (_z_columns): column alpha + i with
     c_i != 0 holds c_i * (1-x)^(h_i - n) from level n + i on, and only the
     levels N of its live band are added to the residual:
 
-        first N with top(N) > alpha + i  <=  N  <  alpha + i - deep,
+        first N with top(N) > alpha + i  <=  N  <  alpha + i - deep.
 
-    with top = min_pa_col under policy A and max(min_pa_col, max_pb_col + 1)
-    under policy B.  Below the band the entry is one the sweep drops as
-    first cone; at and above it, one in the deep cut.
+    Below the band the entry is one the sweep drops as first cone; at and
+    above it, one in the deep cut.
 
     The deep cut.  Every term (b, k) of z(alpha, n) has b - k <= alpha - n
     and b >= alpha.  Multiplying by x or by 1/(1-x) raises the level alone,
@@ -613,34 +593,38 @@ def _overlap_gap_rows(
     l - m.  Each (1-x)^j is made that long, once per sweep, and a tail that
     would read past it raises InconsistencyError.
 
-    The first-cone cut.  An entry with column >= top(N) is absorbed as an
-    x-basis term of the first chart: the sweep drops it without reading it,
-    and nothing else comes of it.  A column is first live where top first
-    exceeds it; top is monotone under policy A, and under policy B a level
-    after that where top is back at or below the column is still dropped
-    when the level is read.  Since no tail lowers a column, the seeds and
-    the visited positions are the only places a negative column needs
-    checking.
+    The first-cone cut.  An entry with column >= top(N) is dropped without
+    being read, and nothing else comes of it.  A column is first live where
+    top first exceeds it; top is monotone under policy A, and under policy
+    B a level after that where top is back at or below the column is still
+    dropped when the level is read.  Since no tail lowers a column, the
+    seeds and the visited positions are the only places a negative column
+    needs checking.
 
     In characteristic p a residual entry packs the rows' coefficients into
     one int, row i in the bits from width*i on, with width from _slot_width;
     slots stay nonnegative (c*z is subtracted as (p - c)*z) and are reduced
     mod p when the position is read, which happens once, since z-tails reach
-    only higher levels.  Rationals are not packed: each row runs its own
-    sweep with a scalar coefficient.
+    only higher levels.  Rationals are not packed: with more than one
+    position, each runs its own sweep, a call with that position alone.
     """
+    if not 0 <= m < l:
+        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
+    if policy not in ("A", "B"):
+        raise RangeError(f"policy must be 'A' or 'B', got {policy!r}")
     p = ctx.field.characteristic
     if not p and len(overlaps) > 1:
-        return [_overlap_gap_rows(ctx, ct, m, l, [pos], policy)[0] for pos in overlaps]
+        return OverlapGaps([subspace_decompose(ctx, ct, m, l, [pos], policy).rows[0]
+                            for pos in overlaps])
     cols_a = [ct.min_pa_col(n) for n in range(m, l)]
     cols_b = [ct.max_pb_col(n) for n in range(m, l)]
+    tops = cols_a if policy == "A" else [max(a, b + 1) for a, b in zip(cols_a, cols_b)]
     depths = [col_b - n for n, col_b in enumerate(cols_b, m)]
     deep = min(depths)
     # first[a]: the first level at which column a is live, for the columns
     # below the largest top(N) of the window; no later column ever is.
     first: list[int] = []
-    for n, col_a, col_b in zip(range(m, l), cols_a, cols_b):
-        top = col_a if policy == "A" else max(col_a, col_b + 1)
+    for n, top in enumerate(tops, m):
         first.extend([n] * (top - len(first)))
     ncols = len(first)
     # The length of every (1-x)^j series of this sweep (the reach above).
@@ -729,14 +713,12 @@ def _overlap_gap_rows(
         if not row:
             continue
         residual[n - m] = {}
-        col_a = cols_a[n - m]
+        top = tops[n - m]
         col_b = cols_b[n - m]
         for alpha in sorted(row):
-            if alpha >= col_a and (policy == "A" or alpha > col_b):
+            if alpha >= top:
                 continue
             v = row[alpha]
-            if not v:
-                continue
             cs = [c % p for c in _slots(v, offsets, mask)] if p else [v]
             if alpha <= col_b:
                 if not any(cs):
@@ -758,7 +740,7 @@ def _overlap_gap_rows(
                         rows[i][(alpha, n)] = c
     if any(residual):
         raise NotInF("window sweep wrote to a level it had already read")
-    return rows
+    return OverlapGaps(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,29 +18,32 @@ The (r, j) witness windows of the characteristic-p criteria are spelled
 once, by decision.d_set, which also runs the emission re-check of every
 window it finds with h0 > 0 (a second sweep under policy B).
 
-The factorization search decides cone membership by the same per-level
-thresholds as the sweep (ConeTables.min_pa_col and max_pb_col); the
-per-position test pa_member only re-verifies a certificate it found.  Both
-thresholds are periodic in the level, so their memo holds at most two
-periods however many windows a table serves, and each entry is certified
-against pa_member and pb_member once, when it is filled.  The sweep reads
-both thresholds once per window to bound the live band of every z-tail
-column: an entry whose column - level is at most the smallest
-max_pb_col(k) - k of the window stays in the second cone with its whole
-z-tail, and an entry at or past the first-cone threshold is absorbed by the
-first chart, so the sweep adds neither to its residual.  Its z-expansions
-come in column form, one binomial series per column (see algebra).
-The factorization search keeps no state but its branch count: it builds
-xi^m once, in column form, and starts each z-expansion from its closed form
-(_z_rows_base), so a backtrack has nothing to restore.  At each level it
-divides the residual unit by the two chart units it picked, each in one
-ascending pass (algebra.divide).  Its certificate multiplies the units out
-by multiply, a route independent of the column form.
+Both engines route each residual position (alpha, n) to the first chart,
+the second chart, an overlap or a gap by the per-level thresholds
+ConeTables.min_pa_col and max_pb_col; the per-position test pa_member only
+re-verifies a certificate the search found.  Both thresholds are periodic in
+the level, so their memo holds at most two periods however many windows a
+table serves, and each entry is certified against pa_member and pb_member
+once, when it is filled.  The sweep reads both thresholds once per window,
+into one per-level top under its policy (see algebra.subspace_decompose),
+and bounds the live band of every z-tail column by them: an entry whose
+column - level is at most the smallest max_pb_col(k) - k of the window stays
+in the second cone with its whole z-tail, and an entry at or past top is
+absorbed by the first chart, so the sweep adds neither to its residual.  Its
+z-expansions come in column form, one binomial series per column (see
+algebra).
+
+The factorization search branches only over a level's one overlap, the
+only one the lattice law allows.  It keeps no state but its branch count: it
+builds xi^m once, in column form, and starts each z-expansion from its
+closed form (_z_rows_base), so a backtrack has nothing to restore.  At each
+level it divides the residual unit by the two chart units it picked, each
+in one ascending pass (algebra.divide).  Its certificate multiplies the
+units out by multiply, a route independent of the column form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,7 +63,6 @@ from .errors import (
     BudgetExceeded,
     ClaimViolation,
     InconsistencyError,
-    LevelError,
     RangeError,
     TheoremViolation,
 )
@@ -160,9 +162,8 @@ def cohomology_dims(
     l: int,
     policy: str = "A",
 ) -> CohomReport:
-    """Section and obstruction dimensions of the restriction window [m, l)."""
-    if not 0 <= m < l:
-        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
+    """Section and obstruction dimensions of the restriction window [m, l);
+    overlaps_and_gaps rejects an empty window with LevelError."""
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l)
     rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)
@@ -234,9 +235,9 @@ def factorization_search(
     the two chart subrings at truncation level m*u.
 
     Proceeds level by level on the residual; a nonzero gap coefficient is a
-    definite obstruction for the current branch.  Overlap coefficients split
-    into a free parameter searched over a finite grid, subject to the branch
-    budget.  A successful factorization is re-verified by multiplying its
+    definite obstruction for the current branch.  A level's one overlap
+    coefficient splits into a free parameter searched over a finite grid,
+    subject to the branch budget.  A successful factorization is re-verified by multiplying its
     two units out against the one xi^m the search reduced.
     """
     if m < 1:
@@ -253,11 +254,13 @@ def factorization_search(
             if rho != one(ctx, l):
                 raise InconsistencyError(f"residual unit at level {l} is not 1")
             return u_a, u_b
-        row = rho.level_component(n)
+        row = rho.rows.get(n, {})
         fa_terms: dict[int, object] = {}
         fb_terms: dict[int, object] = {}
-        overlap_terms: list[tuple[int, object]] = []
         gap_terms: dict = {}
+        # The lattice law leaves at most one overlap per level: branch over
+        # its coefficient splits, or make one pass without an overlap.
+        overlap, splits = None, [(0, 0)]
         col_a = ct.min_pa_col(n)
         col_b = ct.max_pb_col(n)
         for alpha in sorted(row):
@@ -269,7 +272,7 @@ def factorization_search(
                     raise ClaimViolation(
                         f"overlap at ({alpha}, {n}) off the "
                         f"({pd.theta}, {pd.sigma}) lattice")
-                overlap_terms.append((alpha, c))
+                overlap, splits = alpha, _coefficient_splits(fld, c)
             elif in_a:
                 fa_terms[alpha] = c
             elif in_b:
@@ -279,9 +282,8 @@ def factorization_search(
         if gap_terms:
             state["obstruction"] = state["obstruction"] or (n, gap_terms)
             return None
-        grids = [_coefficient_splits(fld, c) for _, c in overlap_terms]
-        for choice in itertools.product(*grids) if grids else [()]:
-            if grids:
+        for ca, cb in splits:
+            if overlap is not None:
                 state["branches"] += 1
                 if state["branches"] > branch_budget:
                     raise BudgetExceeded(
@@ -289,11 +291,10 @@ def factorization_search(
                         f"{branch_budget} branches")
             fa = dict(fa_terms)
             fb = dict(fb_terms)
-            for (alpha, _), (ca, cb) in zip(overlap_terms, choice):
-                if ca:
-                    fa[alpha] = ca
-                if cb:
-                    fb[alpha] = cb
+            if ca:
+                fa[overlap] = ca
+            if cb:
+                fb[overlap] = cb
             fa_rows = {0: {0: fld.of_int(1)}}
             if fa:
                 fa_rows[n] = fa

@@ -55,7 +55,8 @@ class InternalError(ReesLabError):
 
 
 class NotInF(InternalError):
-    """A residual failed membership in the section algebra (defensive)."""
+    """The window sweep wrote to a level it had already read, so that level's
+    residual was never reduced."""
 
 
 class DegenerateError(InternalError):
@@ -67,7 +68,10 @@ class ClaimViolation(InternalError):
 
 
 class InconsistencyError(InternalError):
-    """Euler-characteristic cross-check failed in the cohomology engine."""
+    """An internal invariant or cross-check of the computation failed: among
+    others the Euler-characteristic identity of a window, a z-expansion's
+    leading term or cursor order, the sweep's reach and visit bounds, the
+    elimination's pivots, and the factorization certificate."""
 
 
 class TheoremViolation(InternalError):

@@ -289,6 +289,14 @@ def test_cohomology_command(worked_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert (report["h0"], report["h1"], report["rank"]) == (0, 10, 5)
     assert report["consistent"] is True
+    assert main(["cohomology", "--input", worked_file, "--char", "5",
+                 "--m", "60", "--l", "120"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "window [60, 120) over characteristic 5",
+        "h0 = 0, h1 = 10, rank = 5, chi = -10",
+        "overlaps: [(50, 60), (60, 72), (70, 84), (80, 96), (90, 108)]",
+        "pivot gaps: [(55, 66), (61, 73), (71, 85), (81, 97), (91, 109)]",
+    ]
 
 
 def test_factorize_command(worked_file, capsys):
@@ -300,6 +308,12 @@ def test_factorize_command(worked_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["success"] is False
     assert report["obstruction"]["level"] == 1
+    # The same search in text: the gap (1, 1) at level 1 stops it.
+    assert main(["factorize", "--input", worked_file, "--char", "0", "--m", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "m = 1, level 2: no factorization",
+        "obstruction at level 1: [(1, 1)]",
+    ]
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -34,6 +34,7 @@ from reeslab.cohomology import (
 from reeslab.decision import d_set
 from reeslab.errors import (
     BudgetExceeded,
+    ClaimViolation,
     ContextError,
     InconsistencyError,
     LevelError,
@@ -352,7 +353,7 @@ def test_window_sweep_builds_each_column_once(monkeypatch):
     exponents: list = []
     lengths: list = []
     start, carry, columns = algebra._z_start, algebra._z_carry, algebra._z_columns
-    series, sweep = algebra._series, algebra._overlap_gap_rows
+    series, sweep = algebra._series, cohomology.subspace_decompose
 
     def counting_start(ctx, alpha0, delta, width):
         starts[alpha0] = starts.get(alpha0, 0) + 1
@@ -376,7 +377,7 @@ def test_window_sweep_builds_each_column_once(monkeypatch):
         lengths.append(l)
         return series(j, l, p)
 
-    def one_sweep(ctx, ct, m, l, overlaps, policy):
+    def one_sweep(ctx, ct, m, l, overlaps, policy="A"):
         starts.clear()
         deltas.clear()
         exponents.clear()
@@ -395,7 +396,7 @@ def test_window_sweep_builds_each_column_once(monkeypatch):
     monkeypatch.setattr(algebra, "_z_carry", counting_carry)
     monkeypatch.setattr(algebra, "_z_columns", forward_columns)
     monkeypatch.setattr(algebra, "_series", counting_series)
-    monkeypatch.setattr(algebra, "_overlap_gap_rows", one_sweep)
+    monkeypatch.setattr(cohomology, "subspace_decompose", one_sweep)
     for char, m, l in [(5, 60, 120), (3, 72, 108), (2, 48, 96)]:
         ctx, ct, pd = worked(char)
         for policy in ("A", "B"):
@@ -661,6 +662,20 @@ def test_factorization_outcome_dict():
     d = factorization_search(ctx, ct, pd, 1).to_dict()
     assert d["kind"] == "A4" and d["success"] is False
     assert d["obstruction"]["level"] == 1
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([(F(-1, 2), F(1, 4)), (0, 0), (0, 1)], "overlap at (1, 1) off the (2, 4) lattice"),
+    ([(0, 0), (F(1, 2), F(-1, 4)), (0, 1)], "overlap at (0, 1) off the (0, 4) lattice"),
+])
+def test_factorization_raises_on_an_overlap_off_the_lattice(vertices, message):
+    # Two width-1/2 triangles, outside the width-1 overlap law: the m = 1
+    # char-0 search meets the cones in a column off the lattice and raises.
+    tri = normalize_triangle(vertices)
+    with pytest.raises(ClaimViolation) as err:
+        factorization_search(context_for(tri, RATIONALS), cone_tables(tri),
+                             period_data(tri), 1)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
