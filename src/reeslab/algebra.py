@@ -58,6 +58,9 @@ is one ascending pass (divide): with r = a, level n of the quotient is q_n
 lies at level n+1 or above (the defect rule and w never lower a level), so
 r_n is final when it is read and r is 0 below l at the end.  The product is
 multiply's own rule (_multiply_rows), and invert_unit(e) is divide(1, e).
+c^-1 comes from FieldSpec.inv, which gives the int +-1 at c = +-1 in
+characteristic 0: a division by a unit with constant term 1 then multiplies
+only ints into an integral r, and the quotient stays int.
 The factorization search divides out each chart unit this way; the
 geometric series c^-1 * sum g^k for the inverse of c(1 - g) lives in
 tests/oracles.py.
@@ -351,7 +354,8 @@ def divide(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a * b^-1 for a unit b whose level-0 part is a nonzero constant c, in
     one ascending pass over the remainder r = a: level n of the quotient is
     c^-1 * r_n, and its product with b - c, which lies above level n, is
-    subtracted from r."""
+    subtracted from r.  In characteristic 0 an integral a and b with c = +-1
+    give an integral quotient, in ints; any other c gives Fractions."""
     _check_same(a, b)
     ctx, l = a.ctx, a.level
     row0 = b.rows.get(0, {})

@@ -38,14 +38,18 @@ only one the lattice law allows.  It keeps no state but its branch count: it
 builds xi^m once, in column form, and starts each z-expansion from its
 closed form (_z_rows_base), so a backtrack has nothing to restore.  At each
 level it divides the residual unit by the two chart units it picked, each
-in one ascending pass (algebra.divide).  Its certificate multiplies the
-units out by multiply, a route independent of the column form.
+in one ascending pass (algebra.divide).  In characteristic 0 the residual
+stays int throughout: it starts from the integral xi^m, the units' terms
+above level 0 are its own coefficients or integral z-expansions scaled by
+them, and each unit's constant term 1 inverts to the int 1.  The units
+themselves start from one() and keep its Fraction constant.  Its
+certificate multiplies the units out by multiply, a route independent of
+the column form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import (
     AlgebraContext,
@@ -193,9 +197,9 @@ class FactorizationOutcome:
     success: bool
     m: int
     level: int
-    unit_a: Optional[AlgebraElement] = None
-    unit_b: Optional[AlgebraElement] = None
-    obstruction: Optional[tuple] = None      # (level, {(alpha, n): coeff})
+    unit_a: AlgebraElement | None = None
+    unit_b: AlgebraElement | None = None
+    obstruction: tuple | None = None      # (level, {(alpha, n): coeff})
     branches_explored: int = 0
 
     def to_dict(self) -> dict:

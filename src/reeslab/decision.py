@@ -25,7 +25,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import AlgebraContext, context_for
 from .cohomology import (
@@ -62,7 +61,7 @@ class SearchBounds:
     """Finite truncation of the existential searches in characteristic p."""
 
     r_max: int = 1
-    j_max: Optional[int] = None      # default: p-1 in char p, 1 otherwise
+    j_max: int | None = None      # default: p-1 in char p, 1 otherwise
     m_max: int = 6
     branch_budget: int = DEFAULT_BRANCH_BUDGET
 
@@ -94,13 +93,13 @@ class SearchBounds:
 @dataclass
 class Verdict:
     status: str
-    witness: Optional[dict]
-    emu: Optional[dict]
+    witness: dict | None
+    emu: dict | None
     probes: list
     bounds: dict
 
     @property
-    def finitely_generated(self) -> Optional[bool]:
+    def finitely_generated(self) -> bool | None:
         if self.status in (FG_EXACT, FG_WITNESS):
             return True
         if self.status == NOT_FG_EXACT:
@@ -215,8 +214,8 @@ def family_triangle(g) -> NormalizedTriangle:
 @dataclass
 class ScanRow:
     g: Fraction
-    verdict: Optional[Verdict]
-    error: Optional[str]
+    verdict: Verdict | None
+    error: str | None
 
     @property
     def status(self) -> str:

@@ -1,7 +1,13 @@
 """Exact base-field arithmetic: the rationals or a prime field F_p.
 
-Coefficients are plain Python objects: ``fractions.Fraction`` (or ``int``)
-in characteristic 0, and ``int`` reduced to ``[0, p)`` in characteristic p.
+Coefficients are plain Python objects: ``int`` reduced to ``[0, p)`` in
+characteristic p, and ``int`` or ``fractions.Fraction`` in characteristic 0.
+There a coefficient stays ``int`` wherever the arithmetic is integral: xi^m,
+every z-expansion, and the factorization search's residual, which is only
+ever divided by units with constant term 1.  A ``Fraction`` enters only
+through ``of_int`` and ``of_fraction`` (``algebra.one`` and the units the
+search builds on it), or through an inverse other than +-1, and spreads to
+every sum and product it meets.
 Keeping coefficients primitive lets the hot loops in the section algebra
 stay free of per-element dispatch.  ``FieldSpec`` only brings integers and
 fractions into the field and inverts; sums and products are reduced mod p
@@ -58,6 +64,9 @@ class FieldSpec:
         return (num * pow(den, -1, p)) % p
 
     def inv(self, a):
+        """The inverse of a nonzero a: pow(a, -1, p) in characteristic p.  In
+        characteristic 0 the inverse of +-1 is the exact int +-1, so scaling
+        by it keeps an int an int; any other inverse is a Fraction."""
         p = self.characteristic
         if p:
             if a % p == 0:
@@ -65,6 +74,8 @@ class FieldSpec:
             return pow(a, -1, p)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
+        if a == 1 or a == -1:
+            return int(a)
         return 1 / Fraction(a)
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import (
     ClaimViolation,
@@ -56,8 +56,8 @@ class NormalizedTriangle:
     x1: Fraction
     x2: Fraction
     ubar: Fraction
-    sbar: Optional[Fraction]
-    tbar: Optional[Fraction]
+    sbar: Fraction | None
+    tbar: Fraction | None
     s2: int
     s3: int
     t: int
@@ -282,7 +282,7 @@ class ConeTables:
     period carries the check to every level that reuses the entry.
     """
 
-    def __init__(self, sbar: Optional[Fraction], tbar: Optional[Fraction], ubar: Fraction):
+    def __init__(self, sbar: Fraction | None, tbar: Fraction | None, ubar: Fraction):
         # Strict slope separation keeps both column counts unbounded, which
         # the threshold searches below rely on.
         if sbar is not None and sbar <= ubar:

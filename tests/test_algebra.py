@@ -315,6 +315,28 @@ def test_divide_matches_the_series_inverse(slope, p, l, z_unit, data):
     assert invert_unit(b) == series_inverse(b)
 
 
+def test_char0_inverse_of_a_sign_is_an_int():
+    # The one place that picks a char-0 coefficient's type after a division:
+    # +-1 inverts to the exact int, anything else to a Fraction.
+    for a in (1, -1, F(1), F(-1)):
+        got = RATIONALS.inv(a)
+        assert type(got) is int and got == a
+    assert type(RATIONALS.inv(2)) is F and RATIONALS.inv(2) == F(1, 2)
+    assert RATIONALS.inv(F(-2, 3)) == F(-3, 2)
+
+
+def test_divide_by_a_unit_with_constant_two_is_exact():
+    # An integral a over b = 2 + 3 x(1, 1): c^-1 = 1/2 makes every entry of
+    # the quotient a Fraction, and the quotient is still exact.
+    a = AlgebraElement(CTX_Q, 4, {0: {0: 1}, 2: {1: 3}})
+    b = AlgebraElement(CTX_Q, 4, {0: {0: 2}, 1: {1: 3}})
+    q = divide(a, b)
+    assert q.rows[0] == {0: F(1, 2)} and q.rows[1] == {1: F(-3, 4)}
+    assert all(type(c) is F for row in q.rows.values() for c in row.values())
+    assert multiply(q, b) == a
+    assert q == multiply(a, series_inverse(b))
+
+
 # ---------------------------------------------------------------------------
 # transition unit powers
 

@@ -241,6 +241,18 @@ def test_package_has_no_orphaned_public_names():
     assert orphans == []
 
 
+def test_importing_reeslab_leaves_typing_unloaded():
+    # No module of the package imports typing at run time: annotations are
+    # strings, and Sequence comes from collections.abc.
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    code = "import sys, reeslab, reeslab.cli; print('typing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 @pytest.mark.parametrize("demo, line", [
     ("worked_example.py", "characteristic 2: FG_WITNESS"),
     ("family_scan.py", "g = 13/6   NO_WITNESS_UP_TO_BOUNDS"),

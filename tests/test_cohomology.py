@@ -547,6 +547,27 @@ def test_factorization_backtracking_starts_each_expansion_at_its_delta(monkeypat
     assert all(cols == seen[0] for seen in levels.values() for cols in seen)
 
 
+def test_factorization_residual_stays_integral_over_q(monkeypatch):
+    # xi^m and every z-expansion are integral and each chart unit has
+    # constant term 1, so in characteristic 0 every division leaves the
+    # residual in exact ints, not integral Fractions.
+    quotients: list = []
+    divide = cohomology.divide
+
+    def recording_divide(a, b):
+        q = divide(a, b)
+        quotients.append({type(c) for row in q.rows.values() for c in row.values()})
+        return q
+
+    monkeypatch.setattr(cohomology, "divide", recording_divide)
+    tri = normalize_triangle([(F(-1, 3), F(2, 9)), (F(2, 3), F(-4, 9)), (0, 1)])
+    ctx = context_for(tri, RATIONALS)
+    out = factorization_search(ctx, cone_tables(tri), period_data(tri), 4)
+    assert out.success and out.level == 12 and out.branches_explored == 0
+    assert quotients and all(types <= {int} for types in quotients)
+    assert multiply(out.unit_a, out.unit_b) == xi_power(ctx, 12, 4)
+
+
 def test_factorization_builds_xi_once(monkeypatch):
     # A successful search reduces xi^m and checks its certificate against
     # that same element: one xi_power call, not a second build for the
