@@ -58,9 +58,8 @@ is one ascending pass (divide): with r = a, level n of the quotient is q_n
 lies at level n+1 or above (the defect rule and w never lower a level), so
 r_n is final when it is read and r is 0 below l at the end.  The product is
 multiply's own rule (_multiply_rows), and invert_unit(e) is divide(1, e).
-c^-1 comes from FieldSpec.inv, which gives the int +-1 at c = +-1 in
-characteristic 0: a division by a unit with constant term 1 then multiplies
-only ints into an integral r, and the quotient stays int.
+c^-1 comes from FieldSpec.inv, so in characteristic 0 the quotient of int
+elements by a unit with c = +-1 is int, and any other c makes it rational.
 The factorization search divides out each chart unit this way; the
 geometric series c^-1 * sum g^k for the inverse of c(1 - g) lives in
 tests/oracles.py.
@@ -97,7 +96,7 @@ from .errors import (
     NotInF,
     RangeError,
 )
-from .fields import FieldSpec, coeff_str
+from .fields import FieldSpec
 from .geometry import ConeTables
 
 Rows = dict  # level -> {column -> coefficient}
@@ -160,8 +159,7 @@ def _radd(rows: Rows, n: int, alpha: int, c, p: int) -> None:
 def _radd_row(rows: Rows, n: int, src: dict, c, p: int) -> None:
     """rows[n] += c * src, c None meaning 1, reduced mod p when p > 0 and
     vanishing entries dropped.  A product is only formed when c is given and
-    a sum only when the slot holds a value, so characteristic-0 coefficients
-    keep their type."""
+    a sum only when the slot holds a value."""
     row = rows.get(n)
     if row is None:
         row = rows[n] = {}
@@ -246,7 +244,7 @@ class AlgebraElement:
                            for c in [self.rows[n][a]])))
 
     def __repr__(self):
-        terms = ", ".join(f"({a},{n}):{coeff_str(self.rows[n][a])}"
+        terms = ", ".join(f"({a},{n}):{self.rows[n][a]}"
                           for (a, n) in self.support()[:8])
         more = "" if len(self.support()) <= 8 else ", ..."
         return f"<element l={self.level} {{{terms}{more}}}>"
@@ -265,7 +263,7 @@ def _check_same(e1: AlgebraElement, e2: AlgebraElement) -> None:
 def x_basis(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:
     if not 0 <= n < l:
         raise LevelError(f"basis level {n} outside [0, {l})")
-    return AlgebraElement(ctx, l, {n: {alpha: ctx.field.of_int(1)}})
+    return AlgebraElement(ctx, l, {n: {alpha: 1}})
 
 
 def one(ctx: AlgebraContext, l: int) -> AlgebraElement:
@@ -354,8 +352,8 @@ def divide(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a * b^-1 for a unit b whose level-0 part is a nonzero constant c, in
     one ascending pass over the remainder r = a: level n of the quotient is
     c^-1 * r_n, and its product with b - c, which lies above level n, is
-    subtracted from r.  In characteristic 0 an integral a and b with c = +-1
-    give an integral quotient, in ints; any other c gives Fractions."""
+    subtracted from r.  In characteristic 0 int a and b with c = +-1 give an
+    int quotient; any other c gives Fractions."""
     _check_same(a, b)
     ctx, l = a.ctx, a.level
     row0 = b.rows.get(0, {})
@@ -757,5 +755,5 @@ def dump_element(e: AlgebraElement) -> str:
     for n in sorted(e.rows):
         row = e.rows[n]
         for a in sorted(row):
-            lines.append(f"{a} {n} {coeff_str(row[a])}")
+            lines.append(f"{a} {n} {row[a]}")
     return "\n".join(lines)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import context_for
 from .cohomology import cohomology_dims, factorization_search
@@ -38,20 +37,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _rat_str(q) -> str:
-    return str(Fraction(q))
-
-
 def _triangle_dict(tri) -> dict:
     v1, v2, v3 = tri.vertices
     return {
-        "v1": [_rat_str(v1[0]), _rat_str(v1[1])],
-        "v2": [_rat_str(v2[0]), _rat_str(v2[1])],
-        "v3": [_rat_str(v3[0]), _rat_str(v3[1])],
-        "width": _rat_str(tri.width),
-        "ubar": _rat_str(tri.ubar),
-        "sbar": "inf" if tri.sbar is None else _rat_str(tri.sbar),
-        "tbar": "-inf" if tri.tbar is None else _rat_str(tri.tbar),
+        "v1": [str(v1[0]), str(v1[1])],
+        "v2": [str(v2[0]), str(v2[1])],
+        "v3": [str(v3[0]), str(v3[1])],
+        "width": str(tri.width),
+        "ubar": str(tri.ubar),
+        "sbar": "inf" if tri.sbar is None else str(tri.sbar),
+        "tbar": "-inf" if tri.tbar is None else str(tri.tbar),
     }
 
 

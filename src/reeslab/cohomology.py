@@ -38,13 +38,11 @@ only one the lattice law allows.  It keeps no state but its branch count: it
 builds xi^m once, in column form, and starts each z-expansion from its
 closed form (_z_rows_base), so a backtrack has nothing to restore.  At each
 level it divides the residual unit by the two chart units it picked, each
-in one ascending pass (algebra.divide).  In characteristic 0 the residual
-stays int throughout: it starts from the integral xi^m, the units' terms
-above level 0 are its own coefficients or integral z-expansions scaled by
-them, and each unit's constant term 1 inverts to the int 1.  The units
-themselves start from one() and keep its Fraction constant.  Its
-certificate multiplies the units out by multiply, a route independent of
-the column form.
+in one ascending pass (algebra.divide).  In characteristic 0 every
+coefficient stays int: xi^m and the z-expansions are int, each unit's
+constant term 1 inverts to the int 1 (see fields), and so the residual, the
+units and their product are int.  Its certificate multiplies the units out
+by multiply, a route independent of the column form.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from .errors import (
     RangeError,
     TheoremViolation,
 )
-from .fields import FieldSpec, coeff_str
+from .fields import RATIONALS, FieldSpec
 from .geometry import (
     ConeTables,
     EmuReport,
@@ -214,7 +212,7 @@ class FactorizationOutcome:
             lvl, res = self.obstruction
             out["obstruction"] = {
                 "level": lvl,
-                "residual": [[a, n, coeff_str(c)] for (a, n), c in sorted(res.items())],
+                "residual": [[a, n, str(c)] for (a, n), c in sorted(res.items())],
             }
         return out
 
@@ -225,7 +223,7 @@ def _coefficient_splits(fld: FieldSpec, c):
     p = fld.characteristic
     if p:
         return [(ca, (c - ca) % p) for ca in range(p)]
-    return [(c, fld.of_int(0)), (fld.of_int(0), c)]
+    return [(c, 0), (0, c)]
 
 
 def factorization_search(
@@ -299,11 +297,11 @@ def factorization_search(
                 fa[overlap] = ca
             if cb:
                 fb[overlap] = cb
-            fa_rows = {0: {0: fld.of_int(1)}}
+            fa_rows = {0: {0: 1}}
             if fa:
                 fa_rows[n] = fa
             one_fa = AlgebraElement(ctx, l, fa_rows)
-            fb_rows = {0: {0: fld.of_int(1)}}
+            fb_rows = {0: {0: 1}}
             for alpha, c in fb.items():
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
@@ -342,8 +340,6 @@ def char0_b2_check(tri, emu: EmuReport, ct: ConeTables, pd: PeriodData,
     cone tables and period data are ``ct`` and ``pd``; disagreement raises
     TheoremViolation.
     """
-    from .fields import RATIONALS
-
     ctx = context_for(tri, RATIONALS)
     outcome = factorization_search(ctx, ct, pd, 1, branch_budget=branch_budget)
     if outcome.success != emu.holds:

@@ -1,13 +1,9 @@
 """Exact base-field arithmetic: the rationals or a prime field F_p.
 
 Coefficients are plain Python objects: ``int`` reduced to ``[0, p)`` in
-characteristic p, and ``int`` or ``fractions.Fraction`` in characteristic 0.
-There a coefficient stays ``int`` wherever the arithmetic is integral: xi^m,
-every z-expansion, and the factorization search's residual, which is only
-ever divided by units with constant term 1.  A ``Fraction`` enters only
-through ``of_int`` and ``of_fraction`` (``algebra.one`` and the units the
-search builds on it), or through an inverse other than +-1, and spreads to
-every sum and product it meets.
+characteristic p, and in characteristic 0 ``int`` unless ``of_fraction`` or
+an inverse other than +-1 made them rational (a ``fractions.Fraction``,
+which spreads to every sum and product it meets).
 Keeping coefficients primitive lets the hot loops in the section algebra
 stay free of per-element dispatch.  ``FieldSpec`` only brings integers and
 fractions into the field and inverts; sums and products are reduced mod p
@@ -51,8 +47,10 @@ class FieldSpec:
             raise RangeError(f"characteristic must be 0 or a prime, got {p}")
 
     def of_int(self, n: int):
+        """n in the field: reduced mod p in characteristic p, the int itself
+        in characteristic 0."""
         p = self.characteristic
-        return n % p if p else Fraction(n)
+        return n % p if p else n
 
     def of_fraction(self, q: Fraction):
         p = self.characteristic
@@ -80,10 +78,3 @@ class FieldSpec:
 
 
 RATIONALS = FieldSpec(0)
-
-
-def coeff_str(c) -> str:
-    """Render a coefficient as an integer or p/q (never a float)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return str(c.numerator)
-    return str(c)

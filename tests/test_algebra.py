@@ -323,6 +323,10 @@ def test_char0_inverse_of_a_sign_is_an_int():
         assert type(got) is int and got == a
     assert type(RATIONALS.inv(2)) is F and RATIONALS.inv(2) == F(1, 2)
     assert RATIONALS.inv(F(-2, 3)) == F(-3, 2)
+    # An int enters the rationals as itself, and so does one()'s constant.
+    assert type(RATIONALS.of_int(3)) is int
+    e = one(CTX_Q, 4)
+    assert e.rows == {0: {0: 1}} and type(e.rows[0][0]) is int
 
 
 def test_divide_by_a_unit_with_constant_two_is_exact():

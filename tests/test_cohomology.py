@@ -550,7 +550,8 @@ def test_factorization_backtracking_starts_each_expansion_at_its_delta(monkeypat
 def test_factorization_residual_stays_integral_over_q(monkeypatch):
     # xi^m and every z-expansion are integral and each chart unit has
     # constant term 1, so in characteristic 0 every division leaves the
-    # residual in exact ints, not integral Fractions.
+    # residual in exact ints, not integral Fractions; so are the units and
+    # the certificate.
     quotients: list = []
     divide = cohomology.divide
 
@@ -565,7 +566,10 @@ def test_factorization_residual_stays_integral_over_q(monkeypatch):
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), 4)
     assert out.success and out.level == 12 and out.branches_explored == 0
     assert quotients and all(types <= {int} for types in quotients)
-    assert multiply(out.unit_a, out.unit_b) == xi_power(ctx, 12, 4)
+    product = multiply(out.unit_a, out.unit_b)
+    assert product == xi_power(ctx, 12, 4)
+    for e in (out.unit_a, out.unit_b, product):
+        assert all(type(c) is int for row in e.rows.values() for c in row.values())
 
 
 def test_factorization_builds_xi_once(monkeypatch):
