@@ -33,16 +33,18 @@ absorbed by the first chart, so the sweep adds neither to its residual.  Its
 z-expansions come in column form, one binomial series per column (see
 algebra).
 
-The factorization search branches only over a level's one overlap, the
-only one the lattice law allows.  It keeps no state but its branch count: it
-builds xi^m once, in column form, and starts each z-expansion from its
-closed form (_z_rows_base), so a backtrack has nothing to restore.  At each
-level it divides the residual unit by the two chart units it picked, each
-in one ascending pass (algebra.divide).  In characteristic 0 every
-coefficient stays int: xi^m and the z-expansions are int, each unit's
-constant term 1 inverts to the int 1 (see fields), and so the residual, the
-units and their product are int.  Its certificate multiplies the units out
-by multiply, a route independent of the column form.
+The factorization search walks the levels in one loop, depth first, and
+branches only over a level's one overlap, the only one the lattice law
+allows.  An explicit stack holds the splits not yet tried, each with the
+units and residual it resumes from, so no recursion limit caps m*u and a
+backtrack is one pop.  It builds xi^m once, in column form, and starts each
+z-expansion from its closed form (_z_rows_base).  At each level it divides
+the residual unit by the two chart units it picked, each in one ascending
+pass (algebra.divide).  In characteristic 0 every coefficient stays int:
+xi^m and the z-expansions are int, each unit's constant term 1 inverts to
+the int 1 (see fields), and so the residual, the units and their product
+are int.  Its certificate multiplies the units out by multiply, a route
+independent of the column form.
 """
 
 from __future__ import annotations
@@ -236,11 +238,14 @@ def factorization_search(
     """Try to write the m-th transition-unit power as a product of units of
     the two chart subrings at truncation level m*u.
 
-    Proceeds level by level on the residual; a nonzero gap coefficient is a
-    definite obstruction for the current branch.  A level's one overlap
-    coefficient splits into a free parameter searched over a finite grid,
-    subject to the branch budget.  A successful factorization is re-verified by multiplying its
-    two units out against the one xi^m the search reduced.
+    Walks the levels in one loop on the residual.  A level is classified in
+    full first; a nonzero gap coefficient ends the current branch, and the
+    first such obstruction in depth-first order is the one reported.  A
+    level's one overlap coefficient splits over a finite grid
+    (_coefficient_splits): the splits go on a stack last first, so the walk
+    takes them in grid order, each counted against the branch budget when
+    it is taken.  A successful factorization is re-verified by multiplying
+    its two units out against the one xi^m the search reduced.
     """
     if m < 1:
         raise RangeError("m must be a positive integer")
@@ -249,54 +254,50 @@ def factorization_search(
     l = m * ctx.u
     fld = ctx.field
     target = xi_power(ctx, l, m)
-    state = {"branches": 0, "obstruction": None}
-
-    def descend(u_a, u_b, rho, n):
-        if n >= l:
-            if rho != one(ctx, l):
-                raise InconsistencyError(f"residual unit at level {l} is not 1")
-            return u_a, u_b
-        row = rho.rows.get(n, {})
-        fa_terms: dict[int, object] = {}
-        fb_terms: dict[int, object] = {}
-        gap_terms: dict = {}
-        # The lattice law leaves at most one overlap per level: branch over
-        # its coefficient splits, or make one pass without an overlap.
-        overlap, splits = None, [(0, 0)]
-        col_a = ct.min_pa_col(n)
-        col_b = ct.max_pb_col(n)
-        for alpha in sorted(row):
-            c = row[alpha]
-            in_a = alpha >= col_a
-            in_b = alpha <= col_b
-            if in_a and in_b:
-                if n % pd.sigma or alpha != (n // pd.sigma) * pd.theta:
-                    raise ClaimViolation(
-                        f"overlap at ({alpha}, {n}) off the "
-                        f"({pd.theta}, {pd.sigma}) lattice")
-                overlap, splits = alpha, _coefficient_splits(fld, c)
-            elif in_a:
-                fa_terms[alpha] = c
-            elif in_b:
-                fb_terms[alpha] = c
-            else:
-                gap_terms[(alpha, n)] = c
-        if gap_terms:
-            state["obstruction"] = state["obstruction"] or (n, gap_terms)
-            return None
-        for ca, cb in splits:
-            if overlap is not None:
-                state["branches"] += 1
-                if state["branches"] > branch_budget:
-                    raise BudgetExceeded(
-                        f"factorization search for m={m} exceeded "
-                        f"{branch_budget} branches")
-            fa = dict(fa_terms)
-            fb = dict(fb_terms)
-            if ca:
-                fa[overlap] = ca
-            if cb:
-                fb[overlap] = cb
+    branches, obstruction = 0, None
+    # An entry resumes the walk at level n from its units and residual; its
+    # split is the chart terms (fa, fb) to take there, or None to classify.
+    stack = [(1, one(ctx, l), one(ctx, l), target, None)]
+    while stack:
+        n, u_a, u_b, rho, split = stack.pop()
+        if split is not None:
+            branches += 1
+            if branches > branch_budget:
+                raise BudgetExceeded(
+                    f"factorization search for m={m} exceeded "
+                    f"{branch_budget} branches")
+        while n < l:
+            if split is None:
+                row = rho.rows.get(n, {})
+                fa, fb, gap_terms, overlap = {}, {}, {}, None
+                col_a = ct.min_pa_col(n)
+                col_b = ct.max_pb_col(n)
+                for alpha in sorted(row):
+                    c = row[alpha]
+                    in_a = alpha >= col_a
+                    in_b = alpha <= col_b
+                    if in_a and in_b:
+                        if n % pd.sigma or alpha != (n // pd.sigma) * pd.theta:
+                            raise ClaimViolation(
+                                f"overlap at ({alpha}, {n}) off the "
+                                f"({pd.theta}, {pd.sigma}) lattice")
+                        overlap = alpha
+                    elif in_a:
+                        fa[alpha] = c
+                    elif in_b:
+                        fb[alpha] = c
+                    else:
+                        gap_terms[(alpha, n)] = c
+                if gap_terms:
+                    obstruction = obstruction or (n, gap_terms)
+                    break
+                if overlap is not None:
+                    for ca, cb in reversed(_coefficient_splits(fld, row[overlap])):
+                        stack.append((n, u_a, u_b, rho, ({**fa, overlap: ca} if ca else fa,
+                                                         {**fb, overlap: cb} if cb else fb)))
+                    break
+                split = fa, fb
+            fa, fb = split
             fa_rows = {0: {0: 1}}
             if fa:
                 fa_rows[n] = fa
@@ -306,20 +307,18 @@ def factorization_search(
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
             one_fb = AlgebraElement(ctx, l, fb_rows)
-            new_rho = divide(divide(rho, one_fa), one_fb)
-            got = descend(multiply(u_a, one_fa), multiply(one_fb, u_b), new_rho, n + 1)
-            if got is not None:
-                return got
-        return None
-
-    result = descend(one(ctx, l), one(ctx, l), target, 1)
-    if result is None:
+            rho = divide(divide(rho, one_fa), one_fb)
+            u_a, u_b = multiply(u_a, one_fa), multiply(one_fb, u_b)
+            n, split = n + 1, None
+        else:
+            if rho != one(ctx, l):
+                raise InconsistencyError(f"residual unit at level {l} is not 1")
+            break
+    else:
         return FactorizationOutcome(
-            success=False, m=m, level=l,
-            obstruction=state["obstruction"],
-            branches_explored=state["branches"],
+            success=False, m=m, level=l, obstruction=obstruction,
+            branches_explored=branches,
         )
-    u_a, u_b = result
     # The certificate: the units multiply back to the column-form xi^m.
     if multiply(u_a, u_b) != target:
         raise InconsistencyError("factorization certificate failed re-verification")
@@ -329,7 +328,7 @@ def factorization_search(
                 f"first-chart unit has support outside its cone at ({alpha}, {n})")
     return FactorizationOutcome(
         success=True, m=m, level=l, unit_a=u_a, unit_b=u_b,
-        branches_explored=state["branches"],
+        branches_explored=branches,
     )
 
 

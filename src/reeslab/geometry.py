@@ -360,9 +360,11 @@ def overlaps_and_gaps(
     max_pb_col(n) and min_pa_col(n), which decide membership at every column
     (see ConeTables).  Every level is cross-checked against the
     overlap-lattice law: the cones may meet only in the one column k*theta
-    at a level n = k*sigma, else ClaimViolation (input outside theorem
-    hypotheses, or a bug).  With the certified thresholds this is the whole
-    strip law: no overlap off the lattice, and no gap outside the strip.
+    at a level n = k*sigma.  The law needs width 1 (theta + theta' =
+    sigma): below it a level that breaks the law raises WidthError, an input
+    error; at width 1 it raises ClaimViolation, a bug.  With the certified
+    thresholds this is the whole strip law: no overlap off the lattice, and
+    no gap outside the strip.
     """
     if not 0 <= m < l:
         raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
@@ -379,6 +381,10 @@ def overlaps_and_gaps(
         if col_a <= col_b:
             k, r = divmod(n, sigma)
             if r != 0 or col_a != col_b or col_a != k * theta:
+                if theta + pd.theta_prime != sigma:
+                    raise WidthError(
+                        f"level {n}: cones overlap on columns [{col_a}, {col_b}]; the overlap "
+                        f"law needs width 1, got {Fraction(theta + pd.theta_prime, sigma)}")
                 raise ClaimViolation(
                     f"level {n}: cones overlap on columns [{col_a}, {col_b}], "
                     f"expected only multiples of ({theta}, {sigma})")

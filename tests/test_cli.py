@@ -28,6 +28,13 @@ v2 = 1, 0
 v3 = 0, 1
 """
 
+NARROW_FILE = """\
+# width 3/4, below the width-1 overlap law
+v1 = -1/2, 1/4
+v2 = 1/4, -1/8
+v3 = 0, 1
+"""
+
 
 @pytest.fixture
 def worked_file(tmp_path):
@@ -309,6 +316,20 @@ def test_cohomology_command(worked_file, capsys):
         "overlaps: [(50, 60), (60, 72), (70, 84), (80, 96), (90, 108)]",
         "pivot gaps: [(55, 66), (61, 73), (71, 85), (81, 97), (91, 109)]",
     ]
+
+
+def test_cohomology_below_width_one_exit_code(tmp_path, capsys):
+    # Below width 1 the cones may meet off the overlap lattice.  A window
+    # where they do is an input outside the law's hypothesis (exit 1), not
+    # an internal invariant violation (exit 2).
+    path = tmp_path / "narrow.txt"
+    path.write_text(NARROW_FILE)
+    for char in ("0", "2"):
+        assert main(["cohomology", "--input", str(path), "--char", char,
+                     "--m", "2", "--l", "6"]) == 1
+        assert capsys.readouterr().err == (
+            "input error: level 3: cones overlap on columns [2, 2]; "
+            "the overlap law needs width 1, got 3/4\n")
 
 
 def test_factorize_command(worked_file, capsys):

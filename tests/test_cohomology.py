@@ -6,6 +6,7 @@ import json
 import math
 import random
 import signal
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -671,6 +672,44 @@ def test_factorization_divides_without_a_series_inverse(monkeypatch):
         dumps = (f"{algebra.dump_element(out.unit_a)}\n--\n"
                  f"{algebra.dump_element(out.unit_b)}") if out.success else None
         assert (dumps and hashlib.sha256(dumps.encode()).hexdigest()) == units
+
+
+def test_factorization_depth_is_not_capped_by_the_recursion_limit():
+    # The search walks its levels in one loop, so a deep search needs no
+    # stack frame per level: the unit right triangle (u = 1) at m = 300
+    # walks 300 levels under a recursion limit 100 frames above this one.
+    tri = normalize_triangle(UNIT_RIGHT)
+    ctx = context_for(tri, FieldSpec(3))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        out = factorization_search(ctx, cone_tables(tri), period_data(tri), 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.success and out.level == 300 and out.branches_explored == 11
+
+
+@pytest.mark.parametrize("vertices, p, m, branches", [
+    (UNIT_RIGHT, 3, 4, 3),
+    (SLOPE_1_2, 7, 14, 7),
+])
+def test_factorization_budget_boundary(vertices, p, m, branches):
+    # A branch is counted when its split is taken: a budget of exactly the
+    # branches a search explores gives the same outcome, one less raises.
+    tri = normalize_triangle(vertices)
+    ctx, ct, pd = context_for(tri, FieldSpec(p)), cone_tables(tri), period_data(tri)
+    out = factorization_search(ctx, ct, pd, m)
+    assert out.branches_explored == branches
+    exact = factorization_search(ctx, ct, pd, m, branch_budget=branches)
+    assert exact.to_dict() == out.to_dict()
+    assert (exact.unit_a, exact.unit_b) == (out.unit_a, out.unit_b)
+    with pytest.raises(BudgetExceeded) as err:
+        factorization_search(ctx, ct, pd, m, branch_budget=branches - 1)
+    assert str(err.value) == (
+        f"factorization search for m={m} exceeded {branches - 1} branches")
 
 
 def test_no_branching_below_the_period():
