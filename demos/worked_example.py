@@ -16,7 +16,6 @@ from reeslab import (
     SearchBounds,
     cone_tables,
     decide,
-    delta_prime,
     dump_element,
     emu_check,
     normalize_triangle,
@@ -37,8 +36,6 @@ def main():
     print("== geometry ==")
     print(f"x1 = {tri.x1}, x2 = {tri.x2}, width = {tri.width}")
     print(f"slopes: sbar = {tri.sbar}, tbar = {tri.tbar}, ubar = {tri.ubar}")
-    corners = ", ".join(f"({x}, {y})" for x, y in delta_prime(tri))
-    print(f"companion triangle: {corners}")
 
     pd = period_data(tri)
     print(f"\ndilation period sigma = {pd.sigma}, split theta = {pd.theta}, "

@@ -12,7 +12,6 @@ from .algebra import (
     subspace_decompose,
     x_basis,
     xi_power,
-    z_element,
 )
 from .cohomology import (
     CohomReport,
@@ -47,7 +46,6 @@ from .geometry import (
     PeriodData,
     ToricData,
     cone_tables,
-    delta_prime,
     emu_check,
     normalize_triangle,
     overlaps_and_gaps,

@@ -191,57 +191,14 @@ class AlgebraElement:
         self.level = level
         self.rows = rows
 
-    # -- queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
     def support(self) -> list[tuple[int, int]]:
         return [(a, n) for n in sorted(self.rows) for a in sorted(self.rows[n])]
-
-    def level_component(self, n: int) -> dict:
-        return dict(self.rows.get(n, {}))
-
-    def min_level(self):
-        return min(self.rows) if self.rows else None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
-        p = self.ctx.field.characteristic
-        rows = {n: dict(row) for n, row in self.rows.items()}
-        for n, row in other.rows.items():
-            _radd_row(rows, n, row, None, p)
-        return AlgebraElement(self.ctx, self.level, rows)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "AlgebraElement":
-        p = self.ctx.field.characteristic
-        rows: Rows = {}
-        if c:
-            for n, row in self.rows.items():
-                _radd_row(rows, n, row, c, p)
-        return AlgebraElement(self.ctx, self.level, rows)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return multiply(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return (self.ctx == other.ctx and self.level == other.level
                 and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.ctx, self.level,
-                     tuple((n, a, c) for (a, n) in self.support()
-                           for c in [self.rows[n][a]])))
 
     def __repr__(self):
         terms = ", ".join(f"({a},{n}):{self.rows[n][a]}"
@@ -270,12 +227,10 @@ def one(ctx: AlgebraContext, l: int) -> AlgebraElement:
     return x_basis(ctx, l, 0, 0)
 
 
-def _times_w_rows(ctx: AlgebraContext, l: int, rows: Rows) -> Rows:
-    """rows * w, using w = 1 - x + vx and
+def _times_w_rows(ctx: AlgebraContext, l: int, out: Rows, pend: Rows) -> None:
+    """out += pend * w, consuming pend, using w = 1 - x + vx and
     x(a,n)*vx = x(a+1,n+1)*w^d with d = ceil(a*ubar) - ceil((a+1)*ubar)."""
     u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
-    out: Rows = {}
-    pend = {n: dict(row) for n, row in rows.items()}
     for n in range(l):
         row = pend.pop(n, None)
         if not row:
@@ -291,7 +246,6 @@ def _times_w_rows(ctx: AlgebraContext, l: int, rows: Rows) -> Rows:
                 _radd(out, nxt, a + 1, c, p)
             else:
                 _radd(pend, nxt, a + 1, c, p)
-    return out
 
 
 def _multiply_rows(ctx: AlgebraContext, l: int, out: Rows, rows1: Rows, rows2: Rows) -> None:
@@ -316,8 +270,7 @@ def _multiply_rows(ctx: AlgebraContext, l: int, out: Rows, rows1: Rows, rows2: R
                     else:
                         _radd(needw, n, a, c, p)
     if needw:
-        for n, row in _times_w_rows(ctx, l, needw).items():
-            _radd_row(out, n, row, None, p)
+        _times_w_rows(ctx, l, out, needw)
 
 
 def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
@@ -512,14 +465,6 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
     if rows.get(0) != {0: 1}:
         raise InconsistencyError(f"xi^{m} is not 1 at level 0")
     return AlgebraElement(ctx, l, rows)
-
-
-def z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:
-    """Expansion of z(alpha, n) in the x-basis: leading coefficient 1 at
-    (alpha, n), tail strictly above level n."""
-    if not 0 <= n < l:
-        raise LevelError(f"basis level {n} outside [0, {l})")
-    return AlgebraElement(ctx, l, _z_rows_base(ctx, l, alpha, n))
 
 
 # ---------------------------------------------------------------------------

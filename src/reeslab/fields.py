@@ -1,12 +1,11 @@
 """Exact base-field arithmetic: the rationals or a prime field F_p.
 
 Coefficients are plain Python objects: ``int`` reduced to ``[0, p)`` in
-characteristic p, and in characteristic 0 ``int`` unless ``of_fraction`` or
-an inverse other than +-1 made them rational (a ``fractions.Fraction``,
-which spreads to every sum and product it meets).
-Keeping coefficients primitive lets the hot loops in the section algebra
-stay free of per-element dispatch.  ``FieldSpec`` only brings integers and
-fractions into the field and inverts; sums and products are reduced mod p
+characteristic p, and ``int`` in characteristic 0.  A ``fractions.Fraction``
+enters only through an inverse other than +-1, and spreads to every sum and
+product it meets.  Keeping coefficients primitive lets the hot loops in the
+section algebra stay free of per-element dispatch.  ``FieldSpec`` only
+checks the characteristic and inverts; sums and products are reduced mod p
 where they are accumulated, in ``algebra._radd`` (one term) and
 ``algebra._radd_row`` (a scaled row, also used by the elimination in
 ``cohomology._echelon_rank``).
@@ -45,21 +44,6 @@ class FieldSpec:
         p = self.characteristic
         if p != 0 and not is_prime(p):
             raise RangeError(f"characteristic must be 0 or a prime, got {p}")
-
-    def of_int(self, n: int):
-        """n in the field: reduced mod p in characteristic p, the int itself
-        in characteristic 0."""
-        p = self.characteristic
-        return n % p if p else n
-
-    def of_fraction(self, q: Fraction):
-        p = self.characteristic
-        if not p:
-            return Fraction(q)
-        num, den = q.numerator, q.denominator
-        if den % p == 0:
-            raise ZeroDivisionError(f"denominator {den} vanishes mod {p}")
-        return (num * pow(den, -1, p)) % p
 
     def inv(self, a):
         """The inverse of a nonzero a: pow(a, -1, p) in characteristic p.  In

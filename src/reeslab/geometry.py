@@ -95,9 +95,19 @@ def normalize_triangle(vertices: Sequence[Point]) -> NormalizedTriangle:
     Raises ShapeError, SlopeError or WidthError when the input is not of
     this shape.
     """
-    if len(vertices) != 3:
-        raise ShapeError(f"expected 3 vertices, got {len(vertices)}")
-    pts = [(_frac(x), _frac(y)) for x, y in vertices]
+    try:
+        count = len(vertices)
+    except TypeError:
+        raise ShapeError(f"expected 3 vertices, got {vertices!r}") from None
+    if count != 3:
+        raise ShapeError(f"expected 3 vertices, got {count}")
+    pts = []
+    for v in vertices:
+        try:
+            x, y = v
+        except (TypeError, ValueError):
+            raise ShapeError(f"vertex {v!r} is not a pair of coordinates") from None
+        pts.append((_frac(x), _frac(y)))
     if len(set(pts)) != 3:
         raise ShapeError("vertices are not distinct")
 
@@ -154,20 +164,6 @@ def normalize_triangle(vertices: Sequence[Point]) -> NormalizedTriangle:
     return NormalizedTriangle(
         x1=x1, x2=x2, ubar=ubar, sbar=sbar, tbar=tbar,
         s2=s2, s3=s3, t=t, t3=t3, u2=u2, u=u,
-    )
-
-
-def delta_prime(tri: NormalizedTriangle) -> tuple[Point, Point, Point]:
-    """The companion triangle with the same edge slopes, anchored at the origin.
-
-    Vertices: (0, 0), (u, -u2), (-u*x2/W, (u + u2*x2)/W).
-    """
-    w = tri.width
-    third = (Fraction(-tri.u * tri.x2, 1) / w, (tri.u + tri.u2 * tri.x2) / w)
-    return (
-        (Fraction(0), Fraction(0)),
-        (Fraction(tri.u), Fraction(-tri.u2)),
-        third,
     )
 
 

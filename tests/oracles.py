@@ -27,7 +27,9 @@ column_w_element spells x(alpha, n) * w^k in the column form, with the
 coefficients from fold_z_state, so that the tests can check the column form
 against generic multiplication.  w_element and element_power build w and the
 powers of an element by generic multiplication for these routes and the
-tests; no production route needs them.
+tests; no production route needs them.  combine adds and scales elements,
+which the package only multiplies and divides.  delta_prime is the input of
+the tests' own routes to the column counts that geometry.emu_check reads.
 
 No module of reeslab uses these routes.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from reeslab.algebra import (
     AlgebraContext,
@@ -49,12 +52,39 @@ from reeslab.algebra import (
     multiply,
     one,
     x_basis,
-    z_element,
 )
 from reeslab.errors import LevelError, NotAUnit, NotInF
-from reeslab.geometry import ConeTables, pa_member, pb_member
+from reeslab.fields import FieldSpec
+from reeslab.geometry import ConeTables, NormalizedTriangle, pa_member, pb_member
 
 Rows = dict  # level -> {column -> coefficient}
+
+
+def combine(*pairs) -> AlgebraElement:
+    """sum c * e over the pairs (c, e), elements at one context and level."""
+    first = pairs[0][1]
+    p = first.ctx.field.characteristic
+    rows: Rows = {}
+    for c, e in pairs:
+        _check_same(first, e)
+        for n, row in e.rows.items():
+            _radd_row(rows, n, row, c, p)
+    return AlgebraElement(first.ctx, first.level, rows)
+
+
+def field_coeff(field: FieldSpec, q):
+    """The rational q in the field: a Fraction in characteristic 0, and
+    num * den^-1 reduced mod p in characteristic p."""
+    q, p = Fraction(q), field.characteristic
+    return q.numerator * pow(q.denominator, -1, p) % p if p else q
+
+
+def delta_prime(tri: NormalizedTriangle) -> tuple:
+    """The companion triangle (0, 0), (u, -u2), (-u*x2/W, (u + u2*x2)/W):
+    the same edge slopes, anchored at the origin."""
+    w = tri.width
+    return ((Fraction(0), Fraction(0)), (Fraction(tri.u), Fraction(-tri.u2)),
+            (Fraction(-tri.u * tri.x2, 1) / w, (tri.u + tri.u2 * tri.x2) / w))
 
 
 def fold_z_state(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:
@@ -99,7 +129,9 @@ def column_w_element(ctx: AlgebraContext, l: int, alpha: int, n: int, k: int) ->
 
 def w_element(ctx: AlgebraContext, l: int) -> AlgebraElement:
     """Canonical form of w = 1 - x + vx."""
-    return AlgebraElement(ctx, l, _times_w_rows(ctx, l, {0: {0: ctx.field.of_int(1)}}))
+    rows: Rows = {}
+    _times_w_rows(ctx, l, rows, {0: {0: 1}})
+    return AlgebraElement(ctx, l, rows)
 
 
 def series_inverse(e: AlgebraElement) -> AlgebraElement:
@@ -117,14 +149,13 @@ def series_inverse(e: AlgebraElement) -> AlgebraElement:
         if n >= 1:
             _radd_row(g_rows, n, row, -cinv, p)
     g = AlgebraElement(ctx, l, g_rows)
-    acc = one(ctx, l)
-    term = one(ctx, l)
+    terms = [(cinv, one(ctx, l))]
     for _ in range(1, l):
-        term = multiply(term, g)
-        if term.is_zero():
+        term = multiply(terms[-1][1], g)
+        if not term.rows:
             break
-        acc = acc + term
-    return acc.scaled(cinv)
+        terms.append((cinv, term))
+    return combine(*terms)
 
 
 def element_power(e: AlgebraElement, k: int) -> AlgebraElement:
@@ -158,7 +189,7 @@ def product_z_element(ctx: AlgebraContext, l: int, alpha: int, n: int) -> Algebr
     x = x_basis(ctx, l, 0, 1) if l > 1 else AlgebraElement(ctx, l, {})
     e = multiply(x_basis(ctx, l, alpha, 0), element_power(w_element(ctx, l), delta))
     e = multiply(e, element_power(x, n))
-    return multiply(e, element_power(one(ctx, l) - x, -n))
+    return multiply(e, element_power(combine((1, one(ctx, l)), (-1, x)), -n))
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +322,12 @@ class DecompositionCertificate:
     gap_residual: dict
 
     def reexpand(self) -> AlgebraElement:
-        out = AlgebraElement(self.ctx, self.level, {})
-        for (a, n), c in sorted(self.a_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
-        for (a, n), c in sorted(self.b_part.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            out = out + z_element(self.ctx, self.level, a, n).scaled(c)
-        for (a, n), c in sorted(self.gap_residual.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            out = out + x_basis(self.ctx, self.level, a, n).scaled(c)
-        return out
+        ctx, l = self.ctx, self.level
+        z = [(c, AlgebraElement(ctx, l, _z_rows_base(ctx, l, a, n)))
+             for (a, n), c in self.b_part.items()]
+        x = [(c, x_basis(ctx, l, a, n))
+             for (a, n), c in [*self.a_part.items(), *self.gap_residual.items()]]
+        return combine((1, AlgebraElement(ctx, l, {})), *x, *z)
 
 
 def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
@@ -308,9 +337,8 @@ def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
     if policy not in ("A", "B"):
         raise ValueError(f"policy must be 'A' or 'B', got {policy!r}")
     ctx, l = e.ctx, e.level
-    lead = e.min_level()
-    if lead is not None and lead < m:
-        raise LevelError(f"element has support at level {lead} below m={m}")
+    if e.rows and min(e.rows) < m:
+        raise LevelError(f"element has support at level {min(e.rows)} below m={m}")
     p = ctx.field.characteristic
     residual = {n: dict(row) for n, row in e.rows.items()}
     a_part: dict = {}

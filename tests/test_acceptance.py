@@ -47,7 +47,7 @@ from reeslab.geometry import (
     toric_data,
 )
 
-from oracles import column_w_element, element_power, w_element
+from oracles import column_w_element, combine, element_power, w_element
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -175,15 +175,15 @@ def test_criterion_06_small_characteristic_witnesses():
         out2 = factorization_search(ctx2, ct, pd, 2)
         assert out2.success
         vx2 = x_basis(ctx2, 4, 1, 1)
-        assert xi_power(ctx2, 4, 2) == \
-            one(ctx2, 4) + x_basis(ctx2, 4, 0, 2) - multiply(vx2, vx2)
+        assert xi_power(ctx2, 4, 2) == combine(
+            (1, one(ctx2, 4)), (1, x_basis(ctx2, 4, 0, 2)), (-1, multiply(vx2, vx2)))
 
         ctx3 = AlgebraContext(1, 2, FieldSpec(3))
         out3 = factorization_search(ctx3, ct, pd, 3)
         assert out3.success
         vx3 = x_basis(ctx3, 6, 1, 1)
-        assert xi_power(ctx3, 6, 3) == \
-            one(ctx3, 6) - x_basis(ctx3, 6, 0, 3) - element_power(vx3, 3)
+        assert xi_power(ctx3, 6, 3) == combine(
+            (1, one(ctx3, 6)), (-1, x_basis(ctx3, 6, 0, 3)), (-1, element_power(vx3, 3)))
 
         assert decide(tri, FieldSpec(2)).status == FG_WITNESS
         assert decide(tri, FieldSpec(3)).status == FG_WITNESS

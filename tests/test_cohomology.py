@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 
 from reeslab import algebra, cohomology
 from reeslab.algebra import (
+    AlgebraElement,
     OverlapGaps,
+    _z_rows_base,
     context_for,
     multiply,
     one,
     subspace_decompose,
     x_basis,
     xi_power,
-    z_element,
 )
 from reeslab.cohomology import (
     _echelon_rank,
@@ -50,10 +51,17 @@ from reeslab.geometry import (
     emu_check,
     normalize_triangle,
     overlaps_and_gaps,
+    pa_member,
     period_data,
 )
 
-from oracles import decompose_element, fold_z_state
+from oracles import (
+    combine,
+    decompose_element,
+    fold_z_state,
+    laurent_multiply,
+    product_xi_power,
+)
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 
@@ -603,7 +611,7 @@ def test_factorization_rejects_a_perturbed_certificate(monkeypatch):
     def perturbed(a, b):
         calls.append(1)
         out = product(a, b)
-        return out + x_basis(ctx, 4, 0, 3) if len(calls) == last else out
+        return combine((1, out), (1, x_basis(ctx, 4, 0, 3))) if len(calls) == last else out
 
     monkeypatch.setattr(cohomology, "multiply", perturbed)
     with pytest.raises(InconsistencyError,
@@ -672,6 +680,34 @@ def test_factorization_divides_without_a_series_inverse(monkeypatch):
         dumps = (f"{algebra.dump_element(out.unit_a)}\n--\n"
                  f"{algebra.dump_element(out.unit_b)}") if out.success else None
         assert (dumps and hashlib.sha256(dumps.encode()).hexdigest()) == units
+
+
+def a4_certificate_holds(ctx, ct, m, u_a, u_b):
+    """u_a * u_b = xi^m in the Laurent model against the product route to
+    xi^m, u_b - 1 in the second chart's z-span by the per-position
+    reduction, and every term of u_a but its constant in the first cone."""
+    l = u_a.level
+    cert = decompose_element(combine((1, u_b), (-1, one(ctx, l))), 0, ct, policy="B")
+    return (laurent_multiply(u_a, u_b) == product_xi_power(ctx, l, m)
+            and not cert.a_part and not cert.gap_residual
+            and all(pa_member(ct, a, n) for a, n in u_a.support() if (a, n) != (0, 0)))
+
+
+@pytest.mark.parametrize("vertices, p, m", [
+    (WORKED, 2, 2), (WORKED, 3, 3), (UNIT_RIGHT, 3, 4), (SLOPE_2_3, 0, 4)])
+def test_a4_units_pass_an_independent_check(vertices, p, m):
+    # The search checks u_a * u_b with the product rule its division runs,
+    # against the closed-form xi^m.  Here the product is formed in the
+    # Laurent model, xi^m by the product route, and chart membership is
+    # decided position by position.  Bumping one term of u_a must fail it.
+    tri = normalize_triangle(vertices)
+    ctx, ct = context_for(tri, FieldSpec(p)), cone_tables(tri)
+    out = factorization_search(ctx, ct, period_data(tri), m)
+    assert out.success
+    assert a4_certificate_holds(ctx, ct, m, out.unit_a, out.unit_b)
+    a, n = out.unit_a.support()[-1]
+    bumped = combine((1, out.unit_a), (1, x_basis(ctx, out.level, a, n)))
+    assert not a4_certificate_holds(ctx, ct, m, bumped, out.unit_b)
 
 
 def test_factorization_depth_is_not_capped_by_the_recursion_limit():
@@ -777,7 +813,8 @@ def oracle_rows(tri, char, m, l, overlaps, policy):
     """Gap residual of z - x at each overlap, one per-element decomposition
     per row, in a fresh context so that no expansion cache is shared."""
     ctx, ct = context_for(tri, FieldSpec(char)), cone_tables(tri)
-    return [decompose_element(z_element(ctx, l, a, n) - x_basis(ctx, l, a, n),
+    return [decompose_element(combine((1, AlgebraElement(ctx, l, _z_rows_base(ctx, l, a, n))),
+                                      (-1, x_basis(ctx, l, a, n))),
                               m, ct, policy=policy).gap_residual
             for a, n in overlaps]
 

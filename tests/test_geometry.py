@@ -21,7 +21,6 @@ from reeslab.geometry import (
     INF,
     _first_reaching,
     cone_tables,
-    delta_prime,
     emu_check,
     normalize_triangle,
     overlaps_and_gaps,
@@ -32,6 +31,8 @@ from reeslab.geometry import (
     period_data,
     toric_data,
 )
+
+from oracles import delta_prime
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 UNIT_RIGHT = [(0, 0), (1, 0), (0, 1)]
@@ -107,6 +108,17 @@ def test_normalize_refuses_coordinates_that_are_no_rational_number():
     # Fraction's own ValueError would escape as no InputError (exit code 2).
     with pytest.raises(ShapeError, match="'x' is not an exact rational number"):
         normalize_triangle([("x", "1"), (0, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("vertices, named", [
+    ([(0, 0, 0), (1, 0), (0, 1)], r"vertex \(0, 0, 0\)"),
+    ([(0,), (1, 0), (0, 1)], r"vertex \(0,\)"),
+    ("abc", "vertex 'a'"), ([1, 2, 3], "vertex 1 "), (None, "got None")])
+def test_normalize_refuses_malformed_vertices(vertices, named):
+    # A vertex that is no pair, or no list of vertices at all, would escape
+    # as a bare ValueError or TypeError (exit code 2).
+    with pytest.raises(ShapeError, match=named):
+        normalize_triangle(vertices)
 
 
 def test_family_member_after_affine_map():
