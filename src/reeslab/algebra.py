@@ -553,16 +553,22 @@ def subspace_decompose(
     slots stay nonnegative (c*z is subtracted as (p - c)*z) and are reduced
     mod p when the position is read, which happens once, since z-tails reach
     only higher levels.  Rationals are not packed: with more than one
-    position, each runs its own sweep, a call with that position alone.
+    position, each runs its own sweep with that position alone, all within
+    this one call.
     """
     if not 0 <= m < l:
         raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     if policy not in ("A", "B"):
         raise RangeError(f"policy must be 'A' or 'B', got {policy!r}")
+    if not ctx.field.characteristic and len(overlaps) > 1:
+        return OverlapGaps([_sweep(ctx, ct, m, l, [pos], policy)[0] for pos in overlaps])
+    return OverlapGaps(_sweep(ctx, ct, m, l, overlaps, policy))
+
+
+def _sweep(ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list,
+           policy: str) -> list:
+    """The rows of subspace_decompose on a checked window, in one sweep."""
     p = ctx.field.characteristic
-    if not p and len(overlaps) > 1:
-        return OverlapGaps([subspace_decompose(ctx, ct, m, l, [pos], policy).rows[0]
-                            for pos in overlaps])
     cols_a = [ct.min_pa_col(n) for n in range(m, l)]
     cols_b = [ct.max_pb_col(n) for n in range(m, l)]
     tops = cols_a if policy == "A" else [max(a, b + 1) for a, b in zip(cols_a, cols_b)]
@@ -687,7 +693,7 @@ def subspace_decompose(
                         rows[i][(alpha, n)] = c
     if any(residual):
         raise NotInF("window sweep wrote to a level it had already read")
-    return OverlapGaps(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .fields import FieldSpec
 from .geometry import cone_tables, normalize_triangle, parse_rat, period_data, read_triangle_file
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(InputError):
+    """A bad flag or flag value; main reports it as "error: ..." (exit code 1)."""
 
 
 class _Parser(argparse.ArgumentParser):

@@ -248,7 +248,7 @@ def scan_family(g_values, field: FieldSpec,
 def factorize_integer(n: int) -> dict[int, int]:
     """Prime factorization by trial division (independent of any library)."""
     if n < 1:
-        raise ValueError("expected a positive integer")
+        raise RangeError(f"expected a positive integer, got {n}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:

@@ -206,67 +206,82 @@ def period_data(tri: NormalizedTriangle) -> PeriodData:
 # Cone tables
 
 
-def _first_reaching(count, n: int) -> int:
-    """Smallest k >= 0 with count(k) >= n+1, for a nondecreasing column
-    count that is unbounded or infinite: a galloping then a binary search."""
+def _count(law, k: int):
+    """floor(k*A) + floor(k*B) + 1 for law ((A num, A den), (B num, B den))."""
+    if law is None:   # an infinite edge
+        return INF
+    (an, ad), (bn, bd) = law
+    return k * an // ad + k * bn // bd + 1
+
+
+def _period(law) -> tuple[int, int]:
+    """(P, Q) = (lcm of the denominators, P*(A+B)), so _count(law, k+P) =
+    _count(law, k) + Q; (0, 1) for an infinite edge."""
+    if law is None:
+        return 0, 1
+    (an, ad), (bn, bd) = law
+    p = math.lcm(ad, bd)
+    return p, p // ad * an + p // bd * bn
+
+
+def _locate(law, n: int) -> int:
+    """Smallest k >= 0 with _count(law, k) >= n+1, for n >= 0 and A+B > 0.
+    k(A+B) - 2 < floor(kA) + floor(kB) <= k(A+B), so the answer lies in
+    [ceil(n/(A+B)), ceil((n+1)/(A+B))], at most 2 counts when A+B >= 1."""
+    if law is None:
+        return 0
+    (an, ad), (bn, bd) = law
+    k = -(-n * ad * bd // (an * bd + bn * ad))
+    while _count(law, k) <= n:
+        k += 1
+    return k
+
+
+def _periodic_reaching(memo: dict, period: tuple[int, int], law, member, n: int) -> int:
+    """_locate(law, n), which grows by P when n >= 0 grows by Q, (P, Q) =
+    period.  memo keeps the answers for n reduced into [0, 2Q), each
+    certified when filled: member(k, n) holds at the answer k and fails at
+    k - 1, and at n >= Q it is the answer at n - Q plus P; else ClaimViolation."""
     if n < 0:
-        raise ValueError("level must be nonnegative")
-    lo, hi = 0, 1
-    while count(hi) < n + 1:
-        lo, hi = hi, hi * 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count(mid) >= n + 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _periodic_reaching(memo: dict, period: tuple[int, int], count, member, n: int) -> int:
-    """_first_reaching(count, n) for a count with count(k+P) = count(k) + Q,
-    (P, Q) = period: the answer grows by P when n >= 0 grows by Q.  memo
-    keeps the answers for n reduced into [0, 2Q), each certified when it is
-    filled: member(k, n) holds at the answer k and fails at k - 1, and at
-    n >= Q the answer is the one at n - Q plus P; else ClaimViolation."""
+        raise LevelError(f"level {n} is negative")
     step, q = period
     periods = max(0, n // q - 1)
     n -= periods * q
     k = memo.get(n)
     if k is None:
-        k = _first_reaching(count, n)
+        k = _locate(law, n)
         if not member(k, n) or member(k - 1, n):
             raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
-        if n >= q and k != _periodic_reaching(memo, period, count, member, n - q) + step:
+        if n >= q and k != _periodic_reaching(memo, period, law, member, n - q) + step:
             raise ClaimViolation(f"cone threshold {k} at level {n} breaks the period {period}")
         memo[n] = k
     return k + periods * step
 
 
 class ConeTables:
-    """Column counts of the two boundary cones.
+    """Column counts of the two boundary cones, which follow one law.
 
     a(i) counts lattice points with first coordinate i in the cone spanned by
     (u, -u2) and (s3, s2); it equals floor(i*sbar) - ceil(i*ubar) + 1 for
     i >= 0, with an infinite sentinel when sbar is infinite.  b(i) is the
     analogue for the cone spanned by (-u, u2) and (-t3, t), defined for
-    i <= 0 and set to 0 for i > 0.
+    i <= 0 and set to 0 for i > 0.  At k >= 0 both are the law count(k) =
+    floor(k*A) + floor(k*B) + 1 (_count): a(k) with (A, B) = (sbar, -ubar)
+    and b(-k) with (A, B) = (-tbar, ubar), each slope an integer numerator
+    and denominator, so no Fraction is built per query.
 
-    Membership is decided in integers: the slopes are kept as numerator and
-    denominator, and both floors and the ceiling are integer floor divisions,
-    so no Fraction is built per query.
-
-    Both counts are periodic up to a shift.  With P = lcm(s3, u) and Q =
-    P*(sbar - ubar), a(i+P) = a(i) + Q; with P' = lcm(t3, u) and Q' =
-    P'*(ubar - tbar), b(-i-P') = b(-i) + Q'.  The same formulas give at
-    most 0 at i = -1 for a and at i = 1 for b, so for n >= 0
+    With (P, Q) = _period(law), count(k+P) = count(k) + Q, and the law
+    gives count(-1) <= 0 as A+B > 0, so for n >= 0
 
         min_pa_col(n+Q) = min_pa_col(n) + P,
-        max_pb_col(n+Q') = max_pb_col(n) + Q' - P',
+        max_pb_col(n+Q) = max_pb_col(n) + Q - P,
 
-    and an infinite slope gives a constant search result, (P, Q) = (0, 1).
-    Each threshold is memoized on n reduced below 2Q, so its memo never
-    holds more than 2Q entries however many levels are asked.
+    each with its own law's (P, Q); an infinite edge gives a constant
+    threshold, (P, Q) = (0, 1).  A threshold is located upwards from
+    ceil(n/(A+B)) (_locate) in at most 2 counts, since a normalized
+    triangle has sbar - ubar = 1/|x2| >= 1 and ubar - tbar = 1/x1 >= 1.  It
+    is memoized on n reduced below 2Q, so its memo never holds more than 2Q
+    entries however many levels are asked.
 
     The thresholds decide membership at every column, since a(i) and b(-k)
     are nondecreasing: floor(i*sbar) and floor(i*u2/u) do not fall as i
@@ -279,59 +294,37 @@ class ConeTables:
     """
 
     def __init__(self, sbar: Fraction | None, tbar: Fraction | None, ubar: Fraction):
-        # Strict slope separation keeps both column counts unbounded, which
-        # the threshold searches below rely on.
+        # Strict slope separation makes A+B > 0, so both counts are unbounded.
         if sbar is not None and sbar <= ubar:
             raise SlopeError(f"sbar={sbar} must exceed ubar={ubar}")
         if tbar is not None and tbar >= ubar:
             raise SlopeError(f"tbar={tbar} must be below ubar={ubar}")
-        self.sbar = sbar
-        self.tbar = tbar
-        self.ubar = ubar
-        # -ceil(i*ubar) = floor(i*u2/u) with ubar = -u2/u.
-        self._u2, self._u = -ubar.numerator, ubar.denominator
-        u2, u = self._u2, self._u
-        # (P, Q) with count(i+P) = count(i) + Q, for a(i) and for b(-i).
-        self._pa_period = self._pb_period = (0, 1)
-        if sbar is not None:
-            self._s_num, self._s_den = sbar.numerator, sbar.denominator
-            step = math.lcm(self._s_den, u)
-            self._pa_period = (step, step * self._s_num // self._s_den + step * u2 // u)
-        if tbar is not None:
-            self._t_num, self._t_den = tbar.numerator, tbar.denominator
-            step = math.lcm(self._t_den, u)
-            self._pb_period = (step, -step * u2 // u - step * self._t_num // self._t_den)
+        u2, u = -ubar.numerator, ubar.denominator
+        self._pa_law = None if sbar is None else ((sbar.numerator, sbar.denominator), (u2, u))
+        self._pb_law = None if tbar is None else ((-tbar.numerator, tbar.denominator), (-u2, u))
+        self._pa_period, self._pb_period = _period(self._pa_law), _period(self._pb_law)
         self._pa_cache: dict[int, int] = {}
         self._pb_cache: dict[int, int] = {}
-        # Membership of search index k at level n: column k, column n - k.
+        # Membership of law index k at level n: column k, column n - k.
         self._pa_at = lambda k, n: pa_member(self, k, n)
         self._pb_at = lambda k, n: pb_member(self, n - k, n)
 
     def a(self, i: int):
         if i < 0:
-            raise ValueError(f"a(i) requires i >= 0, got {i}")
-        if self.sbar is None:
-            return INF
-        return (i * self._s_num) // self._s_den + (i * self._u2) // self._u + 1
+            raise LevelError(f"a(i) requires i >= 0, got {i}")
+        return _count(self._pa_law, i)
 
     def b(self, i: int):
-        if i > 0:
-            return 0
-        if self.tbar is None:
-            return INF
-        return (i * self._t_num) // self._t_den + (i * self._u2) // self._u + 1
+        return 0 if i > 0 else _count(self._pb_law, -i)
 
     def min_pa_col(self, n: int) -> int:
         """Smallest column alpha >= 0 with a(alpha) >= n+1."""
-        return _periodic_reaching(self._pa_cache, self._pa_period, self.a, self._pa_at, n)
+        return _periodic_reaching(self._pa_cache, self._pa_period, self._pa_law, self._pa_at, n)
 
     def max_pb_col(self, n: int) -> int:
         """Largest column n + i, i <= 0, with b(i) >= n+1."""
         return n - _periodic_reaching(
-            self._pb_cache, self._pb_period, self._b_back, self._pb_at, n)
-
-    def _b_back(self, k: int):
-        return self.b(-k)
+            self._pb_cache, self._pb_period, self._pb_law, self._pb_at, n)
 
 
 def cone_tables(tri: NormalizedTriangle) -> ConeTables:
@@ -365,11 +358,7 @@ def overlaps_and_gaps(
     if not 0 <= m < l:
         raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     sigma, theta = pd.sigma, pd.theta
-    overlaps = [
-        (k * theta, k * sigma)
-        for k in range(-(-m // sigma), -(-l // sigma))
-        if m <= k * sigma < l
-    ]
+    overlaps = [(k * theta, k * sigma) for k in range(-(-m // sigma), -(-l // sigma))]
     gaps: list[tuple[int, int]] = []
     for n in range(m, l):
         col_a = ct.min_pa_col(n)

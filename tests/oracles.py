@@ -30,6 +30,9 @@ powers of an element by generic multiplication for these routes and the
 tests; no production route needs them.  combine adds and scales elements,
 which the package only multiplies and divides.  delta_prime is the input of
 the tests' own routes to the column counts that geometry.emu_check reads.
+first_reaching finds a cone threshold by a galloping then a binary search
+over the column count alone; it checks geometry._locate, which walks up
+from the count law's lower bound ceil(n/(A+B)).
 
 No module of reeslab uses these routes.
 """
@@ -85,6 +88,21 @@ def delta_prime(tri: NormalizedTriangle) -> tuple:
     w = tri.width
     return ((Fraction(0), Fraction(0)), (Fraction(tri.u), Fraction(-tri.u2)),
             (Fraction(-tri.u * tri.x2, 1) / w, (tri.u + tri.u2 * tri.x2) / w))
+
+
+def first_reaching(count, n: int) -> int:
+    """Smallest k >= 0 with count(k) >= n+1, for a nondecreasing column
+    count that is unbounded or infinite: a galloping then a binary search."""
+    lo, hi = 0, 1
+    while count(hi) < n + 1:
+        lo, hi = hi, hi * 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count(mid) >= n + 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def fold_z_state(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import importlib
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ import pytest
 import reeslab
 from reeslab.cli import _bounds, build_parser, canonical_json, main
 from reeslab.decision import SearchBounds
+from reeslab.errors import ReesLabError
 
 WORKED_FILE = """\
 # the width-1 reference triangle
@@ -235,6 +237,30 @@ def test_package_has_no_stranded_private_functions():
     stranded = _unreferenced(_package_trees(),
                              lambda name: name.startswith("_") and not name.startswith("__"))
     assert stranded == []
+
+
+def test_package_raises_only_its_own_errors():
+    # Every raise names a ReesLabError subclass, so that the CLI maps each
+    # failure to its exit code; a bare ValueError or TypeError would read as
+    # no InputError.  FieldSpec.inv keeps the arithmetic ZeroDivisionError.
+    allowed = {("fields.py", "inv", "ZeroDivisionError")}
+    offenders = []
+    for name, tree in _package_trees().items():
+        module = importlib.import_module(f"reeslab.{name[:-3]}")
+        owner = {}   # each raise -> its innermost function; walk goes outside in
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, func.name) for node in ast.walk(func)
+                             if isinstance(node, ast.Raise))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised = exc.id if isinstance(exc, ast.Name) else None
+                cls = getattr(module, raised or "", None)
+                if (name, owner.get(node), raised) not in allowed and not (
+                        isinstance(cls, type) and issubclass(cls, ReesLabError)):
+                    offenders.append(f"{name}:{node.lineno}:{raised}")
+    assert offenders == []
 
 
 def test_package_has_no_orphaned_public_names():

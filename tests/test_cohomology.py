@@ -416,6 +416,25 @@ def test_window_sweep_builds_each_column_once(monkeypatch):
             assert set(starts) <= set(range(ctx.u))
 
 
+def test_a_rational_window_is_one_subspace_decompose_call(monkeypatch):
+    # With k > 1 overlaps the char-0 sweep runs once per position, all
+    # inside one public call, so a wrapper bound where the benchmark tracer
+    # binds one, in algebra and in cohomology, counts the window once.
+    calls = []
+    sweep = algebra.subspace_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return sweep(*args, **kwargs)
+
+    for module in (algebra, cohomology):
+        monkeypatch.setattr(module, "subspace_decompose", counting)
+    ctx, ct, pd = worked(0)
+    rep = cohomology_dims(ctx, ct, pd, 12, 48)
+    assert len(rep.matrix.overlaps) == 3
+    assert calls == [rep.matrix.overlaps]
+
+
 def test_d_set_leaves_no_expansions_in_the_context():
     # [36, 72) at p = 3 is a witness window, so d_set runs both sweeps.
     ctx, ct, pd = worked(3)

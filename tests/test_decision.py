@@ -256,6 +256,13 @@ def test_factorize_integer():
     assert factorize_integer(2**10) == {2: 10}
 
 
+@pytest.mark.parametrize("n", [0, -12])
+def test_factorize_integer_refuses_a_nonpositive_integer(n):
+    # A bare ValueError would be no InputError (exit code 2, a bug).
+    with pytest.raises(RangeError, match=f"got {n}"):
+        factorize_integer(n)
+
+
 def test_reference_example_suite_passes():
     items = reference_example_suite()
     assert [i.name.split(":")[0] for i in items] == list("abcdefgh")

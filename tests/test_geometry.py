@@ -5,13 +5,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reeslab import geometry
 from reeslab.errors import (
     ClaimViolation,
     DegenerateError,
+    LevelError,
     ShapeError,
     SlopeError,
     TriangleFileError,
@@ -19,7 +20,6 @@ from reeslab.errors import (
 )
 from reeslab.geometry import (
     INF,
-    _first_reaching,
     cone_tables,
     emu_check,
     normalize_triangle,
@@ -32,7 +32,7 @@ from reeslab.geometry import (
     toric_data,
 )
 
-from oracles import delta_prime
+from oracles import delta_prime, first_reaching
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 UNIT_RIGHT = [(0, 0), (1, 0), (0, 1)]
@@ -387,7 +387,7 @@ def test_cone_tables_match_fraction_formula(tri):
     ct = cone_tables(tri)
     for i in range(-300, 301):
         if i < 0:
-            with pytest.raises(ValueError):
+            with pytest.raises(LevelError):
                 ct.a(i)
         else:
             want = INF if tri.sbar is None else \
@@ -429,18 +429,60 @@ def test_periodic_thresholds_match_the_galloping_search(tri, rng):
     levels = list(range(4 * max(qa, qb) + 3))
     rng.shuffle(levels)
     for n in levels:
-        assert ct.min_pa_col(n) == _first_reaching(ct.a, n), n
-        assert ct.max_pb_col(n) == n - _first_reaching(lambda k: ct.b(-k), n), n
+        assert ct.min_pa_col(n) == first_reaching(ct.a, n), n
+        assert ct.max_pb_col(n) == n - first_reaching(lambda k: ct.b(-k), n), n
     assert len(ct._pa_cache) <= 2 * qa and len(ct._pb_cache) <= 2 * qb
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized_triangles())
+@example(normalize_triangle(UNIT_RIGHT))
+@example(normalize_triangle([(-1, 0), (0, 0), (0, 1)]))
+def test_each_threshold_fill_reads_the_count_at_most_twice(tri):
+    # Both laws of a normalized triangle have A + B >= 1 (sbar - ubar =
+    # 1/|x2|, ubar - tbar = 1/x1), so the walk up from ceil(n/(A+B)) reads
+    # the count at most twice per memo entry, and never on a vertical edge.
+    reads, fills = [], []
+    count, locate = geometry._count, geometry._locate
+
+    def counting(law, k):
+        reads.append(law)
+        return count(law, k)
+
+    def locating(law, n):
+        before = len(reads)
+        k = locate(law, n)
+        fills.append((law, len(reads) - before))
+        return k
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_count", counting)
+        mp.setattr(geometry, "_locate", locating)
+        ct = cone_tables(tri)
+        for n in range(2 * max(ct._pa_period[1], ct._pb_period[1]) + 2):
+            ct.min_pa_col(n)
+            ct.max_pb_col(n)
+    assert len(fills) == len(ct._pa_cache) + len(ct._pb_cache)
+    assert all(evals <= (0 if law is None else 2) for law, evals in fills)
+
+
+def test_a_negative_level_or_column_is_a_level_error():
+    # A bare ValueError would escape the CLI as no InputError (exit code 2),
+    # and unguarded, a negative level's threshold would fail its certificate
+    # as a ClaimViolation, which reads as a bug.
+    ct = cone_tables(normalize_triangle(WORKED))
+    for call in (ct.min_pa_col, ct.max_pb_col, ct.a):
+        with pytest.raises(LevelError, match="-1"):
+            call(-1)
+    assert not ct._pa_cache and not ct._pb_cache
 
 
 @pytest.mark.parametrize("threshold", ["min_pa_col", "max_pb_col"])
 def test_an_off_by_one_threshold_is_not_certified(threshold, monkeypatch):
     # The memo entry of level 5 is one column off, that of level 4 is not;
     # the boundary check made when an entry is filled rejects the first.
-    search = geometry._first_reaching
-    monkeypatch.setattr(geometry, "_first_reaching",
-                        lambda count, n: search(count, n) + (n == 5))
+    locate = geometry._locate
+    monkeypatch.setattr(geometry, "_locate", lambda law, n: locate(law, n) + (n == 5))
     ct = cone_tables(normalize_triangle(WORKED))
     getattr(ct, threshold)(4)
     with pytest.raises(ClaimViolation, match="not its cone's edge"):
