@@ -17,7 +17,6 @@ from .cohomology import (
     CohomReport,
     FactorizationOutcome,
     ObstructionMatrix,
-    char0_b2_check,
     cohomology_dims,
     factorization_search,
     per_level_chi,

@@ -14,9 +14,9 @@ in tests/oracles.py.  With r the rank over the base field,
 and h0 - h1 must equal the sum of per-level Euler characteristics, which is
 checked on every call.
 
-The (r, j) witness windows of the characteristic-p criteria are spelled
-once, by decision.d_set, which also runs the emission re-check of every
-window it finds with h0 > 0 (a second sweep under policy B).
+decision.d_set alone spells the (r, j) witness windows of the characteristic-p
+criteria and re-checks each with h0 > 0 in a second sweep under policy B;
+decision.decide alone compares the two characteristic-0 criteria at m = 1.
 
 Both engines route each residual position (alpha, n) to the first chart,
 the second chart, an overlap or a gap by the per-level thresholds
@@ -56,7 +56,6 @@ from .algebra import (
     AlgebraElement,
     _radd_row,
     _z_rows_base,
-    context_for,
     divide,
     multiply,
     one,
@@ -68,12 +67,10 @@ from .errors import (
     ClaimViolation,
     InconsistencyError,
     RangeError,
-    TheoremViolation,
 )
-from .fields import RATIONALS, FieldSpec
+from .fields import FieldSpec
 from .geometry import (
     ConeTables,
-    EmuReport,
     PeriodData,
     overlaps_and_gaps,
     pa_member,
@@ -331,19 +328,3 @@ def factorization_search(
         branches_explored=branches,
     )
 
-
-def char0_b2_check(tri, emu: EmuReport, ct: ConeTables, pd: PeriodData,
-                   branch_budget: int = DEFAULT_BRANCH_BUDGET) -> bool:
-    """Characteristic-0 unit-factorization criterion at m=1, cross-checked
-    against the column-count criterion ``emu`` of the same triangle, whose
-    cone tables and period data are ``ct`` and ``pd``; disagreement raises
-    TheoremViolation.
-    """
-    ctx = context_for(tri, RATIONALS)
-    outcome = factorization_search(ctx, ct, pd, 1, branch_budget=branch_budget)
-    if outcome.success != emu.holds:
-        raise TheoremViolation(
-            f"unit factorization ({outcome.success}) disagrees with the "
-            f"column-count criterion ({emu.holds}) for ubar=-{tri.u2}/{tri.u}, "
-            f"x1={tri.x1}, x2={tri.x2}")
-    return outcome.success

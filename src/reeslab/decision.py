@@ -3,8 +3,8 @@ reference-example verification suite.
 
 Decision logic:
 
-* characteristic 0: the column-count criterion decides exactly, and is
-  cross-validated at runtime against the unit-factorization criterion;
+* characteristic 0: the column-count criterion decides, and decide itself
+  cross-checks it against one unit-factorization search at m = 1;
 * characteristic p with width < 1: always finitely generated;
 * characteristic p with width 1: a bounded search for a witness, first
   through unit factorizations at m = 1..m_max, then through vanishing
@@ -30,12 +30,18 @@ from .algebra import AlgebraContext, context_for
 from .cohomology import (
     DEFAULT_BRANCH_BUDGET,
     CohomReport,
-    char0_b2_check,
     cohomology_dims,
     factorization_search,
     per_level_chi,
 )
-from .errors import ContextError, InconsistencyError, RangeError, ReesLabError, WidthError
+from .errors import (
+    ContextError,
+    InconsistencyError,
+    RangeError,
+    ReesLabError,
+    TheoremViolation,
+    WidthError,
+)
 from .fields import FieldSpec
 from .geometry import (
     ConeTables,
@@ -107,14 +113,6 @@ class Verdict:
         return None
 
 
-def _emu_dict(rep) -> dict:
-    return {
-        "holds": rep.holds,
-        "column_counts": list(rep.column_counts),
-        "sorted_counts": list(rep.sorted_counts),
-    }
-
-
 def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -> CohomReport:
     """Report of the window [sigma*j*p^r, sigma*(j+1)*p^r), p the
     characteristic of ctx, under policy A.
@@ -151,7 +149,12 @@ def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -
 
 def decide(tri: NormalizedTriangle, field: FieldSpec,
            bounds: SearchBounds = SearchBounds()) -> Verdict:
-    """Decide finite generation, or search for a bounded witness."""
+    """Decide finite generation, or search for a bounded witness.
+
+    In characteristic 0 the column count decides, and the m = 1 unit
+    factorization must agree (else TheoremViolation), as the paper claims
+    under C^2 <= 0 and C.E = 1.  That search tries the two one-sided routings
+    only (_coefficient_splits): a success certifies, a failure only agrees."""
     p = field.characteristic
     pd = period_data(tri)
     probes: list[dict] = []
@@ -160,18 +163,25 @@ def decide(tri: NormalizedTriangle, field: FieldSpec,
     def verdict(status, witness=None, emu=None):
         return Verdict(status, witness, emu, probes, limits)
 
-    if p == 0:
-        ct = cone_tables(tri)
-        emu = emu_check(tri, ct)
-        # Raises TheoremViolation when unit factorization disagrees.
-        char0_b2_check(tri, emu, ct, pd, branch_budget=bounds.branch_budget)
-        return verdict(FG_EXACT if emu.holds else NOT_FG_EXACT, emu=_emu_dict(emu))
-
-    if tri.width < 1:
+    if p and tri.width < 1:
         return verdict(FG_EXACT, {"kind": "narrow-width", "width": str(tri.width)})
 
     ctx = context_for(tri, field)
     ct = cone_tables(tri)
+
+    if p == 0:
+        emu = emu_check(tri, ct)
+        out = factorization_search(ctx, ct, pd, 1, branch_budget=bounds.branch_budget)
+        if out.success != emu.holds:
+            raise TheoremViolation(
+                f"unit factorization ({out.success}) disagrees with the "
+                f"column-count criterion ({emu.holds}) for ubar=-{tri.u2}/{tri.u}, "
+                f"x1={tri.x1}, x2={tri.x2}")
+        return verdict(FG_EXACT if emu.holds else NOT_FG_EXACT, emu={
+            "holds": emu.holds,
+            "column_counts": list(emu.column_counts),
+            "sorted_counts": list(emu.sorted_counts),
+        })
 
     # Unit-factorization probes first: they are cheap and carry the most
     # explicit certificates (see the worked-example witnesses at m=2, 3).

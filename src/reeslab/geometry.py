@@ -332,11 +332,11 @@ def cone_tables(tri: NormalizedTriangle) -> ConeTables:
 
 
 def pa_member(ct: ConeTables, alpha: int, n: int) -> bool:
-    return alpha >= 0 and n >= 0 and ct.a(alpha) >= n + 1
+    return alpha >= 0 and n >= 0 and _count(ct._pa_law, alpha) >= n + 1
 
 
 def pb_member(ct: ConeTables, alpha: int, n: int) -> bool:
-    return n >= 0 and ct.b(alpha - n) >= n + 1
+    return 0 <= n and alpha <= n and _count(ct._pb_law, n - alpha) >= n + 1
 
 
 def overlaps_and_gaps(

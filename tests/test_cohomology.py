@@ -28,12 +28,11 @@ from reeslab.algebra import (
 )
 from reeslab.cohomology import (
     _echelon_rank,
-    char0_b2_check,
     cohomology_dims,
     factorization_search,
     per_level_chi,
 )
-from reeslab.decision import d_set
+from reeslab.decision import d_set, decide
 from reeslab.errors import (
     BudgetExceeded,
     ClaimViolation,
@@ -48,7 +47,6 @@ from reeslab.errors import (
 from reeslab.fields import RATIONALS, FieldSpec
 from reeslab.geometry import (
     cone_tables,
-    emu_check,
     normalize_triangle,
     overlaps_and_gaps,
     pa_member,
@@ -1012,8 +1010,9 @@ def test_window_sweep_rejects_a_negative_column():
 
 
 def b2_check(tri):
-    ct = cone_tables(tri)
-    return char0_b2_check(tri, emu_check(tri, ct), ct, period_data(tri))
+    # decide returns the column count's verdict and raises TheoremViolation
+    # when the m = 1 unit factorization disagrees with it.
+    return decide(tri, RATIONALS).finitely_generated
 
 
 def test_b2_matches_emu_on_interior_family():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from reeslab import decision, geometry
+from reeslab import cohomology, decision, geometry
 from reeslab.algebra import context_for
 from reeslab.decision import (
     FG_EXACT,
@@ -21,7 +21,7 @@ from reeslab.decision import (
     reference_example_suite,
     scan_family,
 )
-from reeslab.errors import InconsistencyError, RangeError
+from reeslab.errors import InconsistencyError, RangeError, TheoremViolation
 from reeslab.fields import FieldSpec
 from reeslab.geometry import cone_tables, normalize_triangle, period_data
 
@@ -56,10 +56,10 @@ def test_family_triangle_refuses_a_parameter_that_is_no_rational_number(g):
         family_triangle(g)
 
 
-def count_calls(monkeypatch, name):
-    """Wrap geometry.<name> under every module name that holds it, like the
+def count_calls(monkeypatch, name, module=geometry):
+    """Wrap module.<name> under every module name that holds it, like the
     benchmark tracer, so that a call from any layer is counted."""
-    original = getattr(geometry, name)
+    original = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
@@ -89,6 +89,24 @@ def test_decide_char0_builds_cone_tables_once(monkeypatch):
         calls.clear()
         decide(tri, FieldSpec(0))
         assert len(calls) == 1
+
+
+def test_decide_char0_runs_one_m1_factorization_search(monkeypatch):
+    # decide is the one place that compares the two char-0 criteria: one
+    # search at m = 1 per call, whatever the verdict, and a disagreement
+    # (the g = 3 endpoint) raises with the message the benchmark digests hold.
+    calls = count_calls(monkeypatch, "factorization_search", cohomology)
+    for g in (F(9, 4), F(5, 2), 2, 3):
+        calls.clear()
+        if g == 3:
+            with pytest.raises(TheoremViolation) as exc:
+                decide(family_triangle(g), FieldSpec(0))
+            assert str(exc.value) == (
+                "unit factorization (True) disagrees with the column-count "
+                "criterion (False) for ubar=-1/2, x1=1, x2=0")
+        else:
+            decide(family_triangle(g), FieldSpec(0))
+        assert [args[3] for args in calls] == [1], f"g={g}"
 
 
 def test_decide_char0_worked_example():
