@@ -429,8 +429,6 @@ def _spell_columns(ctx: AlgebraContext, l: int, cols: list, alpha: int, n: int,
     rows: Rows = {}
     for i, ci, h in cols:
         base = n + i
-        if base >= l:
-            break
         for k, s in enumerate(_series(h + shift, l - base, p)):
             if s:
                 row = rows.get(base + k)

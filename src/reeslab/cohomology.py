@@ -33,18 +33,20 @@ absorbed by the first chart, so the sweep adds neither to its residual.  Its
 z-expansions come in column form, one binomial series per column (see
 algebra).
 
-The factorization search walks the levels in one loop, depth first, and
-branches only over a level's one overlap, the only one the lattice law
-allows.  An explicit stack holds the splits not yet tried, each with the
-units and residual it resumes from, so no recursion limit caps m*u and a
+The factorization search is one flat loop over one kind of stack entry: a
+level n, the units and residual it resumes from, and the chart terms to take
+there.  Each pop takes them and classifies level n + 1, then pushes one
+continuation or, at the level's one overlap (the only one the lattice law
+allows), its splits not yet tried; so no recursion limit caps m*u and a
 backtrack is one pop.  It builds xi^m once, in column form, and starts each
-z-expansion from its closed form (_z_rows_base).  At each level it divides
-the residual unit by the two chart units it picked, each in one ascending
-pass (algebra.divide).  In characteristic 0 every coefficient stays int:
-xi^m and the z-expansions are int, each unit's constant term 1 inverts to
-the int 1 (see fields), and so the residual, the units and their product
-are int.  Its certificate multiplies the units out by multiply, a route
-independent of the column form.
+z-expansion from its closed form (_z_rows_base).  At a level with chart
+terms it divides the residual unit by the two chart units it picked, each in
+one ascending pass (algebra.divide); a level without any divides and
+multiplies nothing.  In characteristic 0 every coefficient stays int: xi^m
+and the z-expansions are int, each unit's constant term 1 inverts to the int
+1 (see fields), and so the residual, the units and their product are int.
+Its certificate multiplies the units out by multiply, a route independent of
+the column form.
 """
 
 from __future__ import annotations
@@ -129,9 +131,7 @@ class CohomReport:
     characteristic: int
     h0: int
     h1: int
-    chi: int
-    chi_independent: int
-    consistent: bool
+    chi: int             # equal to the per-level sum, or cohomology_dims raises
     policy: str
     slack: int           # sigma, a field of the canonical report
     matrix: ObstructionMatrix
@@ -147,8 +147,8 @@ class CohomReport:
             "h0": self.h0,
             "h1": self.h1,
             "chi": self.chi,
-            "chi_independent": self.chi_independent,
-            "consistent": self.consistent,
+            "chi_independent": self.chi,
+            "consistent": True,
             "pivot_gaps": [list(p) for p in self.matrix.pivot_gaps],
             "policy": self.policy,
             "slack": self.slack,
@@ -177,8 +177,7 @@ def cohomology_dims(
             f"window [{m}, {l}): h0-h1={chi} but per-level sum={chi_independent}")
     return CohomReport(
         m=m, l=l, characteristic=ctx.field.characteristic,
-        h0=h0, h1=h1, chi=chi, chi_independent=chi_independent,
-        consistent=True, policy=policy, slack=pd.sigma,
+        h0=h0, h1=h1, chi=chi, policy=policy, slack=pd.sigma,
         matrix=ObstructionMatrix(
             overlaps=overlaps, gaps=gaps, rows=rows, rank=rank, pivot_gaps=pivot_gaps,
         ),
@@ -235,14 +234,15 @@ def factorization_search(
     """Try to write the m-th transition-unit power as a product of units of
     the two chart subrings at truncation level m*u.
 
-    Walks the levels in one loop on the residual.  A level is classified in
-    full first; a nonzero gap coefficient ends the current branch, and the
-    first such obstruction in depth-first order is the one reported.  A
-    level's one overlap coefficient splits over a finite grid
-    (_coefficient_splits): the splits go on a stack last first, so the walk
-    takes them in grid order, each counted against the branch budget when
-    it is taken.  A successful factorization is re-verified by multiplying
-    its two units out against the one xi^m the search reduced.
+    One loop pops one kind of entry: it counts a split against the branch
+    budget when it is taken, applies the entry's chart terms at its level,
+    and classifies the next level in full.  A nonzero gap coefficient ends
+    the current branch, and the first such obstruction in depth-first order
+    is the one reported.  A level's one overlap coefficient splits over a
+    finite grid (_coefficient_splits): the splits go on the stack last
+    first, so the walk takes them in grid order.  A successful
+    factorization is re-verified by multiplying its two units out against
+    the one xi^m the search reduced.
     """
     if m < 1:
         raise RangeError("m must be a positive integer")
@@ -252,53 +252,19 @@ def factorization_search(
     fld = ctx.field
     target = xi_power(ctx, l, m)
     branches, obstruction = 0, None
-    # An entry resumes the walk at level n from its units and residual; its
-    # split is the chart terms (fa, fb) to take there, or None to classify.
-    stack = [(1, one(ctx, l), one(ctx, l), target, None)]
+    # An entry (n, u_a, u_b, rho, fa, fb, is_branch) takes the chart terms
+    # fa, fb at level n, then classifies level n + 1; is_branch marks a split.
+    stack = [(0, one(ctx, l), one(ctx, l), target, {}, {}, False)]
     while stack:
-        n, u_a, u_b, rho, split = stack.pop()
-        if split is not None:
+        n, u_a, u_b, rho, fa, fb, is_branch = stack.pop()
+        if is_branch:
             branches += 1
             if branches > branch_budget:
                 raise BudgetExceeded(
                     f"factorization search for m={m} exceeded "
                     f"{branch_budget} branches")
-        while n < l:
-            if split is None:
-                row = rho.rows.get(n, {})
-                fa, fb, gap_terms, overlap = {}, {}, {}, None
-                col_a = ct.min_pa_col(n)
-                col_b = ct.max_pb_col(n)
-                for alpha in sorted(row):
-                    c = row[alpha]
-                    in_a = alpha >= col_a
-                    in_b = alpha <= col_b
-                    if in_a and in_b:
-                        if n % pd.sigma or alpha != (n // pd.sigma) * pd.theta:
-                            raise ClaimViolation(
-                                f"overlap at ({alpha}, {n}) off the "
-                                f"({pd.theta}, {pd.sigma}) lattice")
-                        overlap = alpha
-                    elif in_a:
-                        fa[alpha] = c
-                    elif in_b:
-                        fb[alpha] = c
-                    else:
-                        gap_terms[(alpha, n)] = c
-                if gap_terms:
-                    obstruction = obstruction or (n, gap_terms)
-                    break
-                if overlap is not None:
-                    for ca, cb in reversed(_coefficient_splits(fld, row[overlap])):
-                        stack.append((n, u_a, u_b, rho, ({**fa, overlap: ca} if ca else fa,
-                                                         {**fb, overlap: cb} if cb else fb)))
-                    break
-                split = fa, fb
-            fa, fb = split
-            fa_rows = {0: {0: 1}}
-            if fa:
-                fa_rows[n] = fa
-            one_fa = AlgebraElement(ctx, l, fa_rows)
+        if fa or fb:
+            one_fa = AlgebraElement(ctx, l, {0: {0: 1}, n: fa} if fa else {0: {0: 1}})
             fb_rows = {0: {0: 1}}
             for alpha, c in fb.items():
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
@@ -306,11 +272,39 @@ def factorization_search(
             one_fb = AlgebraElement(ctx, l, fb_rows)
             rho = divide(divide(rho, one_fa), one_fb)
             u_a, u_b = multiply(u_a, one_fa), multiply(one_fb, u_b)
-            n, split = n + 1, None
-        else:
+        n += 1
+        if n == l:
             if rho != one(ctx, l):
                 raise InconsistencyError(f"residual unit at level {l} is not 1")
             break
+        row = rho.rows.get(n, {})
+        fa, fb, gap_terms, overlap = {}, {}, {}, None
+        col_a = ct.min_pa_col(n)
+        col_b = ct.max_pb_col(n)
+        for alpha in sorted(row):
+            c = row[alpha]
+            in_a = alpha >= col_a
+            in_b = alpha <= col_b
+            if in_a and in_b:
+                if n % pd.sigma or alpha != (n // pd.sigma) * pd.theta:
+                    raise ClaimViolation(
+                        f"overlap at ({alpha}, {n}) off the "
+                        f"({pd.theta}, {pd.sigma}) lattice")
+                overlap = alpha
+            elif in_a:
+                fa[alpha] = c
+            elif in_b:
+                fb[alpha] = c
+            else:
+                gap_terms[(alpha, n)] = c
+        if gap_terms:
+            obstruction = obstruction or (n, gap_terms)
+        elif overlap is None:
+            stack.append((n, u_a, u_b, rho, fa, fb, False))
+        else:
+            for ca, cb in reversed(_coefficient_splits(fld, row[overlap])):
+                stack.append((n, u_a, u_b, rho, {**fa, overlap: ca} if ca else fa,
+                              {**fb, overlap: cb} if cb else fb, True))
     else:
         return FactorizationOutcome(
             success=False, m=m, level=l, obstruction=obstruction,

@@ -116,7 +116,8 @@ def normalize_triangle(vertices: Sequence[Point]) -> NormalizedTriangle:
         raise ShapeError("no vertex equals (0, 1)")
     base = [p for p in pts if p != apex]
 
-    # Both base vertices must lie on a line y = ubar*x through the origin.
+    # Both base vertices must lie on a line y = ubar*x through the origin;
+    # being distinct, they are not both the origin, so one of them sets ubar.
     slopes = []
     for x, y in base:
         if x == 0:
@@ -124,32 +125,25 @@ def normalize_triangle(vertices: Sequence[Point]) -> NormalizedTriangle:
                 raise ShapeError(f"vertex ({x}, {y}) is not on a line through the origin")
         else:
             slopes.append(Fraction(y, x))
-    if not slopes:
-        raise ShapeError("both base vertices coincide with the origin")
     if len(slopes) == 2 and slopes[0] != slopes[1]:
         raise ShapeError("base vertices are not on a common line through the origin")
     ubar = slopes[0]
 
-    xs = sorted(x for x, _ in base)
-    x2, x1 = xs
+    x2, x1 = sorted(x for x, _ in base)
     if not (x2 <= 0 <= x1):
         raise ShapeError(f"bottom edge must straddle the origin, got x2={x2}, x1={x1}")
 
     w = x1 - x2
-    if w <= 0:
-        raise WidthError(f"width {w} is not positive")
     if w > 1:
         raise WidthError(f"width {w} exceeds 1")
 
     if not (-1 <= ubar <= 0):
         raise SlopeError(f"ubar={ubar} outside [-1, 0]")
 
+    # |x2|, x1 <= W <= 1 and ubar in [-1, 0] give sbar = ubar + 1/|x2| >=
+    # ubar + 1 >= 0 and tbar = ubar - 1/x1 <= ubar - 1 <= -1.
     sbar = None if x2 == 0 else (ubar * x2 - 1) / x2
     tbar = None if x1 == 0 else (ubar * x1 - 1) / x1
-    if sbar is not None and sbar < 0:
-        raise SlopeError(f"sbar={sbar} is negative")
-    if tbar is not None and tbar > -1:
-        raise SlopeError(f"tbar={tbar} exceeds -1")
 
     u2, u = -ubar.numerator, ubar.denominator
     if sbar is None:

@@ -95,6 +95,14 @@ def test_x_basis_level_bounds():
         x_basis(CTX_Q, 4, 0, -1)
 
 
+@pytest.mark.parametrize("field", [FieldSpec(5), RATIONALS])
+def test_field_inverse_of_zero_is_a_zero_division(field):
+    # The message is FieldSpec's own: without its check, pow would raise a
+    # ValueError in characteristic p and Fraction its own message over Q.
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        field.inv(0)
+
+
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         multiply(x_basis(CTX_Q, 4, 0, 0), x_basis(CTX_Q, 5, 0, 0))

@@ -71,6 +71,28 @@ def test_analyze_char0_text(worked_file, capsys):
     assert "NOT_FG_EXACT" in out
 
 
+def test_analyze_char3_text_names_the_witness(worked_file, capsys):
+    assert main(["analyze", "--input", worked_file, "--char", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: FG_WITNESS",
+        "witness: {'kind': 'A4', 'm': 3}",
+        "probes run: 3",
+    ]
+
+
+def test_an_internal_invariant_violation_exits_2(tmp_path, capsys):
+    # Family member g = 3 (a vertical left edge, x2 = 0): the two char-0
+    # criteria disagree, which main reports as exit code 2, not a traceback.
+    path = tmp_path / "g3.txt"
+    path.write_text("v1 = 0, 0\nv2 = 1, -1/2\nv3 = 0, 1\n")
+    assert main(["analyze", "--input", str(path), "--char", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal invariant violation: unit factorization (True) disagrees with the "
+        "column-count criterion (False) for ubar=-1/2, x1=1, x2=0\n")
+
+
 def test_analyze_char5_bounded(worked_file, capsys):
     code = main(["analyze", "--input", worked_file, "--char", "5",
                  "--rmax", "1", "--jmax", "4", "--mmax", "6", "--json"])

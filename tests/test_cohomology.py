@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from reeslab import algebra, cohomology
 from reeslab.algebra import (
+    AlgebraContext,
     AlgebraElement,
     OverlapGaps,
     _z_rows_base,
@@ -335,10 +336,18 @@ def test_entry_point_arguments_raise_input_errors():
         overlaps_and_gaps(ct, pd, -1, 12)
     with pytest.raises(RangeError):
         subspace_decompose(ctx, ct, 12, 24, [], policy="C")
+    for overlap in ((10, 11), (20, 24)):
+        with pytest.raises(LevelError, match=r"outside the window \[12, 24\)"):
+            subspace_decompose(ctx, ct, 12, 24, [overlap])
     with pytest.raises(RangeError):
         factorization_search(ctx, ct, pd, 0)
-    with pytest.raises(RangeError):
-        FieldSpec(6)
+    for p in (1, 4, 6, 9):
+        with pytest.raises(RangeError, match=f"got {p}"):
+            FieldSpec(p)
+    with pytest.raises(ContextError, match=r"\(2, 4\)"):    # no reduced slope
+        AlgebraContext(2, 4, RATIONALS)
+    with pytest.raises(LevelError, match="got 0"):
+        AlgebraElement(ctx, 0, {})
 
 
 def test_d_set_warns_on_divisible_j():
@@ -502,6 +511,39 @@ def test_factorization_multiple_monotonicity():
     ctx3, ct3, pd3 = worked(3)
     for m in (3, 6):
         assert factorization_search(ctx3, ct3, pd3, m).success
+
+
+@st.composite
+def frobenius_pairs(draw, cap=150):
+    """(width-1 triangle of slope -1/2, -1/3 or -2/3, p, r) with sigma*p^r
+    <= cap; both vertical edges are excluded, since x2 = -k/d, 0 < k < d."""
+    ubar = draw(st.sampled_from([F(-1, 2), F(-1, 3), F(-2, 3)]))
+    d = draw(st.integers(min_value=2, max_value=20))
+    k = draw(st.integers(min_value=1, max_value=d - 1))
+    assume(math.gcd(k, d) == 1)
+    x2 = F(-k, d)
+    tri = normalize_triangle([(x2, ubar * x2), (x2 + 1, ubar * (x2 + 1)), (0, 1)])
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    sigma = period_data(tri).sigma
+    assume(sigma <= cap)
+    r_max = 0
+    while sigma * p ** (r_max + 1) <= cap:
+        r_max += 1
+    return tri, p, draw(st.integers(min_value=0, max_value=r_max))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frobenius_pairs())
+def test_a4_at_p_to_the_r_implies_sections_in_window_r(case):
+    # A cross-engine check: a unit factorization of xi^(p^r) (the search)
+    # implies h0 > 0 in the window [sigma*p^r, 2*sigma*p^r) (the sweep and
+    # elimination).  The engines share only the z-expansions and the cone
+    # tables.  A counterexample is a finding about one of them, not a
+    # reason to narrow the strategy.
+    tri, p, r = case
+    ctx, ct, pd = context_for(tri, FieldSpec(p)), cone_tables(tri), period_data(tri)
+    if factorization_search(ctx, ct, pd, p**r).success:
+        assert d_set(ctx, ct, pd, r, 1).h0 > 0, (tri.vertices, p, r)
 
 
 def test_factorization_char5_all_small_m_fail():

@@ -113,12 +113,44 @@ def test_normalize_refuses_coordinates_that_are_no_rational_number():
 @pytest.mark.parametrize("vertices, named", [
     ([(0, 0, 0), (1, 0), (0, 1)], r"vertex \(0, 0, 0\)"),
     ([(0,), (1, 0), (0, 1)], r"vertex \(0,\)"),
-    ("abc", "vertex 'a'"), ([1, 2, 3], "vertex 1 "), (None, "got None")])
+    ("abc", "vertex 'a'"), ([1, 2, 3], "vertex 1 "), (None, "got None"),
+    ([(0, 0), (0, 1)], "expected 3 vertices, got 2"),
+    ([(0, 0), (0, 0), (0, 1)], "vertices are not distinct"),
+    ([(0, F(1, 2)), (F(1, 2), 0), (0, 1)], r"vertex \(0, 1/2\) is not on a line"),
+    ([(F(1, 4), F(-1, 8)), (F(1, 2), F(-1, 4)), (0, 1)], "must straddle the origin")])
 def test_normalize_refuses_malformed_vertices(vertices, named):
     # A vertex that is no pair, or no list of vertices at all, would escape
-    # as a bare ValueError or TypeError (exit code 2).
+    # as a bare ValueError or TypeError (exit code 2).  Each shape defect
+    # after that has its own raise: without it, two vertices or a repeated
+    # one would reach another error, and the last two cases would normalize.
     with pytest.raises(ShapeError, match=named):
         normalize_triangle(vertices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=F(-3, 2), max_value=F(1, 2), max_denominator=8),
+       st.one_of(st.just(F(0)), st.fractions(min_value=F(-3, 2), max_value=F(1, 2),
+                                             max_denominator=12)),
+       st.one_of(st.just(F(1)), st.fractions(min_value=0, max_value=F(3, 2),
+                                             max_denominator=12)),
+       st.permutations(range(3)))
+@example(F(-1, 2), F(0), F(1), [0, 1, 2])
+@example(F(-1, 2), F(-1), F(1), [2, 0, 1])
+@example(F(0), F(-1, 3), F(1, 3), [1, 2, 0])
+def test_normalized_triangles_keep_the_width_and_slope_chain(ubar, x2, width, order):
+    # What normalize_triangle returns has 0 < W <= 1 and the slope chain
+    # sbar >= ubar + 1, tbar <= ubar - 1 (None for a vertical edge); the
+    # shape, width and ubar checks imply both, so no raise restates them.
+    x1 = x2 + width
+    base = [(x2, ubar * x2), (x1, ubar * x1), (F(0), F(1))]
+    try:
+        tri = normalize_triangle([base[i] for i in order])
+    except (ShapeError, SlopeError, WidthError):
+        return
+    assert 0 < tri.width <= 1
+    assert (tri.sbar is None) == (tri.x2 == 0) and (tri.tbar is None) == (tri.x1 == 0)
+    assert tri.sbar is None or tri.sbar >= tri.ubar + 1
+    assert tri.tbar is None or tri.tbar <= tri.ubar - 1
 
 
 def test_family_member_after_affine_map():
@@ -687,3 +719,9 @@ def test_parse_triangle_text_errors():
         parse_triangle_text("v1 = 0,0\nv1 = 1,0\nv3 = 0,1")
     with pytest.raises(TriangleFileError):
         parse_triangle_text("v1 = 0.5, 0\nv2 = 1,0\nv3 = 0,1")
+    for text, message in [
+            ("v1 = 0,0\nv2 1,0\nv3 = 0,1", "line 2: expected 'key = x, y'"),
+            ("v1 = 0,0\nv2 = 1,0\nv4 = 0,1", "line 3: unknown key 'v4'"),
+            ("v1 = 0,0,0\nv2 = 1,0\nv3 = 0,1", "line 1: expected two coordinates")]:
+        with pytest.raises(TriangleFileError, match=message):
+            parse_triangle_text(text)
