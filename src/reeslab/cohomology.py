@@ -21,11 +21,10 @@ decision.decide alone compares the two characteristic-0 criteria at m = 1.
 Both engines route each residual position (alpha, n) to the first chart,
 the second chart, an overlap or a gap by the per-level thresholds
 ConeTables.min_pa_col and max_pb_col; the per-position test pa_member only
-re-verifies a certificate the search found.  Both thresholds are periodic in
-the level, so their memo holds at most two periods however many windows a
-table serves, and each entry is certified against pa_member and pb_member
-once, when it is filled.  The sweep reads both thresholds once per window,
-into one per-level top under its policy (see algebra.subspace_decompose),
+re-verifies a certificate the search found.  Each threshold is computed
+when it is read and certified there by one pa_member or pb_member call (see
+ConeTables).  The sweep reads both thresholds once per window, into one
+per-level top under its policy (see algebra.subspace_decompose),
 and bounds the live band of every z-tail column by them: an entry whose
 column - level is at most the smallest max_pb_col(k) - k of the window stays
 in the second cone with its whole z-tail, and an entry at or past top is
@@ -40,11 +39,12 @@ continuation or, at the level's one overlap (the only one the lattice law
 allows), its splits not yet tried; so no recursion limit caps m*u and a
 backtrack is one pop.  It builds xi^m once, in column form, and starts each
 z-expansion from its closed form (_z_rows_base).  At a level with chart
-terms it divides the residual unit by the two chart units it picked, each in
-one ascending pass (algebra.divide); a level without any divides and
-multiplies nothing.  In characteristic 0 every coefficient stays int: xi^m
-and the z-expansions are int, each unit's constant term 1 inverts to the int
-1 (see fields), and so the residual, the units and their product are int.
+terms it divides the residual unit by the chart units it picked, each in
+one ascending pass (algebra.divide); a chart without terms at the level
+divides and multiplies nothing.  In characteristic 0 every coefficient
+stays int: xi^m and the z-expansions are int, each unit's constant term 1
+inverts to the int 1 (see fields), and so the residual, the units and their
+product are int.
 Its certificate multiplies the units out by multiply, a route independent of
 the column form.
 """
@@ -263,15 +263,16 @@ def factorization_search(
                 raise BudgetExceeded(
                     f"factorization search for m={m} exceeded "
                     f"{branch_budget} branches")
-        if fa or fb:
-            one_fa = AlgebraElement(ctx, l, {0: {0: 1}, n: fa} if fa else {0: {0: 1}})
+        if fa:
+            one_fa = AlgebraElement(ctx, l, {0: {0: 1}, n: fa})
+            rho, u_a = divide(rho, one_fa), multiply(u_a, one_fa)
+        if fb:
             fb_rows = {0: {0: 1}}
             for alpha, c in fb.items():
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
             one_fb = AlgebraElement(ctx, l, fb_rows)
-            rho = divide(divide(rho, one_fa), one_fb)
-            u_a, u_b = multiply(u_a, one_fa), multiply(one_fb, u_b)
+            rho, u_b = divide(rho, one_fb), multiply(one_fb, u_b)
         n += 1
         if n == l:
             if rho != one(ctx, l):

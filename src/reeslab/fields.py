@@ -42,6 +42,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise RangeError(f"characteristic must be an int, got {p!r}")
         if p != 0 and not is_prime(p):
             raise RangeError(f"characteristic must be 0 or a prime, got {p}")
 

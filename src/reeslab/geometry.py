@@ -208,20 +208,12 @@ def _count(law, k: int):
     return k * an // ad + k * bn // bd + 1
 
 
-def _period(law) -> tuple[int, int]:
-    """(P, Q) = (lcm of the denominators, P*(A+B)), so _count(law, k+P) =
-    _count(law, k) + Q; (0, 1) for an infinite edge."""
-    if law is None:
-        return 0, 1
-    (an, ad), (bn, bd) = law
-    p = math.lcm(ad, bd)
-    return p, p // ad * an + p // bd * bn
-
-
 def _locate(law, n: int) -> int:
     """Smallest k >= 0 with _count(law, k) >= n+1, for n >= 0 and A+B > 0.
     k(A+B) - 2 < floor(kA) + floor(kB) <= k(A+B), so the answer lies in
     [ceil(n/(A+B)), ceil((n+1)/(A+B))], at most 2 counts when A+B >= 1."""
+    if n < 0:
+        raise LevelError(f"level {n} is negative")
     if law is None:
         return 0
     (an, ad), (bn, bd) = law
@@ -229,27 +221,6 @@ def _locate(law, n: int) -> int:
     while _count(law, k) <= n:
         k += 1
     return k
-
-
-def _periodic_reaching(memo: dict, period: tuple[int, int], law, member, n: int) -> int:
-    """_locate(law, n), which grows by P when n >= 0 grows by Q, (P, Q) =
-    period.  memo keeps the answers for n reduced into [0, 2Q), each
-    certified when filled: member(k, n) holds at the answer k and fails at
-    k - 1, and at n >= Q it is the answer at n - Q plus P; else ClaimViolation."""
-    if n < 0:
-        raise LevelError(f"level {n} is negative")
-    step, q = period
-    periods = max(0, n // q - 1)
-    n -= periods * q
-    k = memo.get(n)
-    if k is None:
-        k = _locate(law, n)
-        if not member(k, n) or member(k - 1, n):
-            raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
-        if n >= q and k != _periodic_reaching(memo, period, law, member, n - q) + step:
-            raise ClaimViolation(f"cone threshold {k} at level {n} breaks the period {period}")
-        memo[n] = k
-    return k + periods * step
 
 
 class ConeTables:
@@ -264,28 +235,22 @@ class ConeTables:
     and b(-k) with (A, B) = (-tbar, ubar), each slope an integer numerator
     and denominator, so no Fraction is built per query.
 
-    With (P, Q) = _period(law), count(k+P) = count(k) + Q, and the law
-    gives count(-1) <= 0 as A+B > 0, so for n >= 0
-
-        min_pa_col(n+Q) = min_pa_col(n) + P,
-        max_pb_col(n+Q) = max_pb_col(n) + Q - P,
-
-    each with its own law's (P, Q); an infinite edge gives a constant
-    threshold, (P, Q) = (0, 1).  A threshold is located upwards from
-    ceil(n/(A+B)) (_locate) in at most 2 counts, since a normalized
-    triangle has sbar - ubar = 1/|x2| >= 1 and ubar - tbar = 1/x1 >= 1.  It
-    is memoized on n reduced below 2Q, so its memo never holds more than 2Q
-    entries however many levels are asked.
+    A threshold is located upwards from ceil(n/(A+B)) (_locate) in at most
+    2 counts, since a normalized triangle has sbar - ubar = 1/|x2| >= 1 and
+    ubar - tbar = 1/x1 >= 1, so it is computed afresh at every read.
 
     The thresholds decide membership at every column, since a(i) and b(-k)
     are nondecreasing: floor(i*sbar) and floor(i*u2/u) do not fall as i
     grows (sbar >= 0, u2 >= 0), and floor(-k*tbar) gains at least 1 per
     step of k (-tbar >= 1) while -ceil(k*u2/u) loses at most 1 (u2 <= u).
-    A memo entry is certified once, when filled, through pa_member and
-    pb_member: its column is in the cone and the outer neighbour is not,
-    and from one period on it agrees with the period law.  The exact
-    period carries the check to every level that reuses the entry.
+    Every read is certified by one membership call, pa_member or pb_member:
+    the column just outside the threshold is not in the cone.  One side is
+    enough.  _locate stops only where count(k) >= n+1, which for k, n >= 0
+    is membership itself, and it only walks up, so the one error its start
+    bound can make is to start past the edge, which that call catches.
     """
+
+    __slots__ = ("_pa_law", "_pb_law")
 
     def __init__(self, sbar: Fraction | None, tbar: Fraction | None, ubar: Fraction):
         # Strict slope separation makes A+B > 0, so both counts are unbounded.
@@ -296,12 +261,6 @@ class ConeTables:
         u2, u = -ubar.numerator, ubar.denominator
         self._pa_law = None if sbar is None else ((sbar.numerator, sbar.denominator), (u2, u))
         self._pb_law = None if tbar is None else ((-tbar.numerator, tbar.denominator), (-u2, u))
-        self._pa_period, self._pb_period = _period(self._pa_law), _period(self._pb_law)
-        self._pa_cache: dict[int, int] = {}
-        self._pb_cache: dict[int, int] = {}
-        # Membership of law index k at level n: column k, column n - k.
-        self._pa_at = lambda k, n: pa_member(self, k, n)
-        self._pb_at = lambda k, n: pb_member(self, n - k, n)
 
     def a(self, i: int):
         if i < 0:
@@ -313,12 +272,17 @@ class ConeTables:
 
     def min_pa_col(self, n: int) -> int:
         """Smallest column alpha >= 0 with a(alpha) >= n+1."""
-        return _periodic_reaching(self._pa_cache, self._pa_period, self._pa_law, self._pa_at, n)
+        k = _locate(self._pa_law, n)
+        if pa_member(self, k - 1, n):
+            raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
+        return k
 
     def max_pb_col(self, n: int) -> int:
         """Largest column n + i, i <= 0, with b(i) >= n+1."""
-        return n - _periodic_reaching(
-            self._pb_cache, self._pb_period, self._pb_law, self._pb_at, n)
+        k = _locate(self._pb_law, n)
+        if pb_member(self, n - k + 1, n):
+            raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
+        return n - k
 
 
 def cone_tables(tri: NormalizedTriangle) -> ConeTables:

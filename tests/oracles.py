@@ -32,7 +32,8 @@ which the package only multiplies and divides.  delta_prime is the input of
 the tests' own routes to the column counts that geometry.emu_check reads.
 first_reaching finds a cone threshold by a galloping then a binary search
 over the column count alone; it checks geometry._locate, which walks up
-from the count law's lower bound ceil(n/(A+B)).
+from the count law's lower bound ceil(n/(A+B)).  cone_periods gives each
+threshold's period (P, Q), the law the tests check the thresholds against.
 
 No module of reeslab uses these routes.
 """
@@ -103,6 +104,26 @@ def first_reaching(count, n: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def threshold_period(a: Fraction | None, b: Fraction) -> tuple[int, int]:
+    """(P, Q) for the count law floor(k*A) + floor(k*B) + 1, a = A, b = B:
+    P = lcm of the denominators and Q = P*(A+B), so the count gains Q when k
+    gains P.  As count(-1) <= 0 < n+1, the threshold of level n + Q, n >= 0,
+    lies P columns past that of level n.  (0, 1) for an infinite edge
+    (a is None), whose threshold is 0 at every level."""
+    if a is None:
+        return 0, 1
+    p = math.lcm(a.denominator, b.denominator)
+    return p, int(p * (a + b))
+
+
+def cone_periods(tri: NormalizedTriangle) -> tuple:
+    """The periods of min_pa_col, law (sbar, -ubar), and of max_pb_col, law
+    (-tbar, ubar): min_pa_col(n+Q) = min_pa_col(n) + P and max_pb_col(n+Q) =
+    max_pb_col(n) + Q - P, each with its own (P, Q)."""
+    return (threshold_period(tri.sbar, -tri.ubar),
+            threshold_period(None if tri.tbar is None else -tri.tbar, tri.ubar))
 
 
 def fold_z_state(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:

@@ -344,6 +344,11 @@ def test_entry_point_arguments_raise_input_errors():
     for p in (1, 4, 6, 9):
         with pytest.raises(RangeError, match=f"got {p}"):
             FieldSpec(p)
+    # Not an int: a later pow would raise a bare TypeError, and False would
+    # pass for the rationals.
+    for p, shown in ((5.0, "5.0"), (F(5), r"Fraction\(5, 1\)"), ("5", "'5'"), (False, "False")):
+        with pytest.raises(RangeError, match=f"must be an int, got {shown}$"):
+            FieldSpec(p)
     with pytest.raises(ContextError, match=r"\(2, 4\)"):    # no reduced slope
         AlgebraContext(2, 4, RATIONALS)
     with pytest.raises(LevelError, match="got 0"):
@@ -652,6 +657,20 @@ def test_factorization_builds_xi_once(monkeypatch):
     out = factorization_search(ctx, ct, pd, 2)
     assert out.success and calls == [(4, 2)]
     assert multiply(out.unit_a, out.unit_b) == build(ctx, 4, 2)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 3), (0, 1), (2, 6), (3, 6)])
+def test_factorization_never_divides_by_one(p, m, monkeypatch):
+    # A chart without terms at a level builds no chart unit, so no division
+    # is by 1; at m = 6 the searches meet levels with terms in one chart
+    # only.  (The first product into each start unit, which is 1, stays.)
+    divisors: list = []
+    divide = cohomology.divide
+    monkeypatch.setattr(cohomology, "divide", lambda a, b: divisors.append(b) or divide(a, b))
+    ctx, ct, pd = worked(p)
+    factorization_search(ctx, ct, pd, m)
+    unit = one(ctx, m * ctx.u)
+    assert all(d != unit for d in divisors)
 
 
 def test_factorization_rejects_a_perturbed_certificate(monkeypatch):
@@ -1026,6 +1045,17 @@ def test_witness_windows_match_their_golden_digests(p, r, j):
         rep = cohomology_dims(ctx, ct, pd, m, l, policy=policy)
         assert (rep.h0, rep.h1) == (h0, h1)
         assert window_digest(rep) == digest, policy
+
+
+def test_a_far_window_matches_its_golden_digest():
+    # Far from level 0 each threshold read is located afresh: the char-5
+    # window [1 200 000, 1 200 024), under policy A and policy B, digests
+    # recorded while the thresholds were still memoized modulo their period.
+    ctx, ct, pd = worked(5)
+    for policy in ("A", "B"):
+        rep = cohomology_dims(ctx, ct, pd, 1_200_000, 1_200_024, policy=policy)
+        assert (rep.h0, rep.h1) == (1, 5)
+        assert window_digest(rep) == "67b2b9c04b8956e1", policy
 
 
 def test_family_result_answers_gap_residual():

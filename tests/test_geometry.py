@@ -32,7 +32,7 @@ from reeslab.geometry import (
     toric_data,
 )
 
-from oracles import delta_prime, first_reaching
+from oracles import cone_periods, delta_prime, first_reaching
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 UNIT_RIGHT = [(0, 0), (1, 0), (0, 1)]
@@ -453,28 +453,44 @@ def test_cone_thresholds_decide_membership(tri, levels):
 @settings(max_examples=40, deadline=None)
 @given(normalized_triangles(), st.randoms(use_true_random=False))
 def test_periodic_thresholds_match_the_galloping_search(tri, rng):
-    # Each threshold memo is keyed on the level reduced by its period Q;
-    # asked in any order for n up to several periods, both thresholds
-    # equal the search from scratch and the memos stay within 2Q entries.
+    # Each read computes its threshold afresh, so asked in any order, and
+    # far up, both thresholds equal the search from scratch.
     ct = cone_tables(tri)
-    qa, qb = ct._pa_period[1], ct._pb_period[1]
-    levels = list(range(4 * max(qa, qb) + 3))
+    levels = list(range(401)) + [10**6 - 1, 10**6, 10**6 + 7]
     rng.shuffle(levels)
     for n in levels:
         assert ct.min_pa_col(n) == first_reaching(ct.a, n), n
         assert ct.max_pb_col(n) == n - first_reaching(lambda k: ct.b(-k), n), n
-    assert len(ct._pa_cache) <= 2 * qa and len(ct._pb_cache) <= 2 * qb
+
+
+def period_break(threshold, shift, q, levels):
+    """The first level n < levels with threshold(n + q) != threshold(n) +
+    shift, or None if there is none."""
+    return next((n for n in range(levels) if threshold(n + q) != threshold(n) + shift), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(normalized_triangles())
+def test_cone_thresholds_follow_the_period_law(tri):
+    # With (P, Q) = cone_periods(tri) for each law, min_pa_col(n+Q) =
+    # min_pa_col(n) + P and max_pb_col(n+Q) = max_pb_col(n) + Q - P; an
+    # infinite edge has (P, Q) = (0, 1).
+    ct = cone_tables(tri)
+    (pa, qa), (pb, qb) = cone_periods(tri)
+    assert period_break(ct.min_pa_col, pa, qa, 3 * qa) is None
+    assert period_break(ct.max_pb_col, qb - pb, qb, 3 * qb) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(normalized_triangles())
 @example(normalize_triangle(UNIT_RIGHT))
 @example(normalize_triangle([(-1, 0), (0, 0), (0, 1)]))
-def test_each_threshold_fill_reads_the_count_at_most_twice(tri):
+def test_each_threshold_read_evaluates_the_count_at_most_twice(tri):
     # Both laws of a normalized triangle have A + B >= 1 (sbar - ubar =
     # 1/|x2|, ubar - tbar = 1/x1), so the walk up from ceil(n/(A+B)) reads
-    # the count at most twice per memo entry, and never on a vertical edge.
-    reads, fills = [], []
+    # the count at most twice per threshold read, and never on a vertical
+    # edge; every read locates its threshold once.
+    reads, locates = [], []
     count, locate = geometry._count, geometry._locate
 
     def counting(law, k):
@@ -484,18 +500,18 @@ def test_each_threshold_fill_reads_the_count_at_most_twice(tri):
     def locating(law, n):
         before = len(reads)
         k = locate(law, n)
-        fills.append((law, len(reads) - before))
+        locates.append((law, len(reads) - before))
         return k
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_count", counting)
         mp.setattr(geometry, "_locate", locating)
         ct = cone_tables(tri)
-        for n in range(2 * max(ct._pa_period[1], ct._pb_period[1]) + 2):
+        for n in range(300):
             ct.min_pa_col(n)
             ct.max_pb_col(n)
-    assert len(fills) == len(ct._pa_cache) + len(ct._pb_cache)
-    assert all(evals <= (0 if law is None else 2) for law, evals in fills)
+    assert len(locates) == 2 * 300
+    assert all(evals <= (0 if law is None else 2) for law, evals in locates)
 
 
 def test_a_negative_level_or_column_is_a_level_error():
@@ -506,13 +522,12 @@ def test_a_negative_level_or_column_is_a_level_error():
     for call in (ct.min_pa_col, ct.max_pb_col, ct.a):
         with pytest.raises(LevelError, match="-1"):
             call(-1)
-    assert not ct._pa_cache and not ct._pb_cache
 
 
 @pytest.mark.parametrize("threshold", ["min_pa_col", "max_pb_col"])
 def test_an_off_by_one_threshold_is_not_certified(threshold, monkeypatch):
-    # The memo entry of level 5 is one column off, that of level 4 is not;
-    # the boundary check made when an entry is filled rejects the first.
+    # The threshold located at level 5 is one column off, that of level 4 is
+    # not; the membership check made on every read rejects the first.
     locate = geometry._locate
     monkeypatch.setattr(geometry, "_locate", lambda law, n: locate(law, n) + (n == 5))
     ct = cone_tables(normalize_triangle(WORKED))
@@ -522,39 +537,43 @@ def test_an_off_by_one_threshold_is_not_certified(threshold, monkeypatch):
 
 
 @pytest.mark.parametrize("vertices, threshold, period, bad", [
-    (WORKED, "min_pa_col", "_pa_period", (11, 12)),
-    (WORKED, "min_pa_col", "_pa_period", (10, 11)),
-    (WORKED, "max_pb_col", "_pb_period", (3, 12)),
-    (WORKED, "max_pb_col", "_pb_period", (2, 11)),
-    ([(-1, 0), (0, 0), (0, 1)], "min_pa_col", "_pa_period", (2, 1)),
-    (UNIT_RIGHT, "max_pb_col", "_pb_period", (2, 1)),
+    (WORKED, "min_pa_col", (10, 12), (11, 12)),
+    (WORKED, "min_pa_col", (10, 12), (10, 11)),
+    (WORKED, "max_pb_col", (2, 12), (3, 12)),
+    (WORKED, "max_pb_col", (2, 12), (2, 11)),
+    ([(-1, 0), (0, 0), (0, 1)], "min_pa_col", (1, 1), (2, 1)),
+    (UNIT_RIGHT, "max_pb_col", (1, 1), (2, 1)),
 ], ids=["worked-a-P", "worked-a-Q", "worked-b-P", "worked-b-Q", "right-a", "right-b"])
 def test_a_wrong_period_is_not_certified(vertices, threshold, period, bad):
     # On the worked example a(i+10) = a(i)+12 and b(-i-2) = b(-i)+12; the
-    # right triangles have period (1, 1), so only levels 0 and 1 are kept.
-    # A level past one period reuses a reduced memo entry, whose fill checks
-    # it against the entry one period down.
-    ct = cone_tables(normalize_triangle(vertices))
-    setattr(ct, period, bad)
-    with pytest.raises(ClaimViolation, match="breaks the period"):
-        getattr(ct, threshold)(100)
+    # right triangles have period (1, 1).  The true (P, Q) is the one
+    # cone_periods derives and holds at every level of [0, 200); each wrong
+    # one fails at some level there.
+    tri = normalize_triangle(vertices)
+    read = getattr(cone_tables(tri), threshold)
+    periods = dict(zip(("min_pa_col", "max_pb_col"), cone_periods(tri)))
+    assert periods[threshold] == period
+
+    def breaks(p, q):
+        return period_break(read, p if threshold == "min_pa_col" else q - p, q, 200)
+
+    assert breaks(*period) is None
+    assert breaks(*bad) is not None
 
 
-def test_each_threshold_entry_costs_two_membership_calls(monkeypatch):
-    # A gap scan over five periods reads membership only when a memo entry
-    # is filled, twice per entry.
+def test_each_threshold_read_costs_one_membership_call(monkeypatch):
+    # The gap scan of [60, 120) reads both thresholds at each of its 60
+    # levels, and each read makes exactly one membership call, its
+    # certificate.
     calls = []
     for name in ("pa_member", "pb_member"):
         member = getattr(geometry, name)
         monkeypatch.setattr(geometry, name,
                             lambda *args, member=member: calls.append(1) or member(*args))
     tri = normalize_triangle(WORKED)
-    ct = cone_tables(tri)
-    ov, gp = overlaps_and_gaps(ct, period_data(tri), 60, 120)
+    ov, gp = overlaps_and_gaps(cone_tables(tri), period_data(tri), 60, 120)
     assert len(ov) == 5 and len(gp) == 15
-    entries = len(ct._pa_cache) + len(ct._pb_cache)
-    assert 0 < entries <= 4 * 12
-    assert len(calls) == 2 * entries
+    assert len(calls) == 2 * 60
 
 
 @settings(max_examples=40, deadline=None)
