@@ -52,12 +52,15 @@ form at its own delta and spells the columns out as rows.
 Products reduce to the x-basis through the ceiling-defect rule
 x(a,n)*x(a',n') = x(a+a', n+n') * w^delta with delta in {0, 1}.
 
-Division by a unit b = c + b', c a nonzero constant and b' on levels >= 1,
-is one ascending pass (divide): with r = a, level n of the quotient is q_n
-= c^-1 * r_n, and q_n * b' is subtracted from r.  Every term of q_n * b'
-lies at level n+1 or above (the defect rule and w never lower a level), so
-r_n is final when it is read and r is 0 below l at the end.  The product is
-multiply's own rule (_multiply_rows), and invert_unit(e) is divide(1, e).
+Division by a unit b = c + b', c a nonzero constant and b' on levels >= n0
+>= 1, is one ascending pass (divide): with r = a, level n of the quotient
+is q_n = c^-1 * r_n, and q * b' is subtracted from r in blocks of levels.
+Every term of q_n * b' lies at level n + n0 or above (the defect rule and w
+never lower a level), so a block of quotient rows that starts at level k
+may run up to level k + n0 - 1: each r_n is final when it is read, once
+the blocks below are subtracted, and r is 0 below l at the end.  The last
+block lands at or past l and is never multiplied.  Each block is one call
+of multiply's own rule (_multiply_rows), and invert_unit(e) is divide(1, e).
 c^-1 comes from FieldSpec.inv, so in characteristic 0 the quotient of int
 elements by a unit with c = +-1 is int, and any other c makes it rational.
 The factorization search divides out each chart unit this way; the
@@ -95,6 +98,7 @@ from .errors import (
     NotAUnit,
     NotInF,
     RangeError,
+    _non_int_message,
 )
 from .fields import FieldSpec
 from .geometry import ConeTables
@@ -228,12 +232,14 @@ def one(ctx: AlgebraContext, l: int) -> AlgebraElement:
 
 
 def _times_w_rows(ctx: AlgebraContext, l: int, out: Rows, pend: Rows) -> None:
-    """out += pend * w, consuming pend, using w = 1 - x + vx and
-    x(a,n)*vx = x(a+1,n+1)*w^d with d = ceil(a*ubar) - ceil((a+1)*ubar)."""
+    """out += pend * w, consuming a nonempty pend, using w = 1 - x + vx and
+    x(a,n)*vx = x(a+1,n+1)*w^d with d = ceil(a*ubar) - ceil((a+1)*ubar).
+    The walk starts at the lowest pending level and stops once nothing is
+    pending, since a level only ever passes terms to the next one."""
     u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
-    for n in range(l):
+    for n in range(min(pend), l):
         row = pend.pop(n, None)
-        if not row:
+        if row is None:
             continue
         nxt = n + 1
         for a, c in row.items():
@@ -246,16 +252,18 @@ def _times_w_rows(ctx: AlgebraContext, l: int, out: Rows, pend: Rows) -> None:
                 _radd(out, nxt, a + 1, c, p)
             else:
                 _radd(pend, nxt, a + 1, c, p)
+        if not pend:
+            break
 
 
-def _multiply_rows(ctx: AlgebraContext, l: int, out: Rows, rows1: Rows, rows2: Rows) -> None:
+def _multiply_rows(ctx: AlgebraContext, l: int, out: Rows, rows1: Rows, pairs2: list) -> None:
     """out += rows1 * rows2 in the level-l truncation, by the ceiling-defect
-    rule: the products with defect 1 are collected and multiplied by w once."""
+    rule, rows2 given as its (level, row) pairs sorted by level: the
+    products with defect 1 are collected and multiplied by w once."""
     u2, u, p = ctx.u2, ctx.u, ctx.field.characteristic
     needw: Rows = {}
-    rows2 = sorted(rows2.items())
-    for n1, row1 in sorted(rows1.items()):
-        for n2, row2 in rows2:
+    for n1, row1 in rows1.items():
+        for n2, row2 in pairs2:
             n = n1 + n2
             if n >= l:
                 break
@@ -274,10 +282,16 @@ def _multiply_rows(ctx: AlgebraContext, l: int, out: Rows, rows1: Rows, rows2: R
 
 
 def multiply(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
-    """Exact product in the truncation, canonical x-basis form."""
+    """Exact product in the truncation, canonical x-basis form.  When e2 is
+    a unit 1 + r, its level-0 row exactly {0: 1}, the product starts from a
+    copy of e1's rows and adds e1 * r, so no term is multiplied by 1."""
     _check_same(e1, e2)
+    pairs2 = sorted(e2.rows.items())
     rows: Rows = {}
-    _multiply_rows(e1.ctx, e1.level, rows, e1.rows, e2.rows)
+    if pairs2 and pairs2[0] == (0, {0: 1}):
+        rows = {n: dict(row) for n, row in e1.rows.items()}
+        del pairs2[0]
+    _multiply_rows(e1.ctx, e1.level, rows, e1.rows, pairs2)
     return AlgebraElement(e1.ctx, e1.level, rows)
 
 
@@ -304,9 +318,13 @@ def _series(j: int, l: int, p: int) -> list[int]:
 def divide(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a * b^-1 for a unit b whose level-0 part is a nonzero constant c, in
     one ascending pass over the remainder r = a: level n of the quotient is
-    c^-1 * r_n, and its product with b - c, which lies above level n, is
-    subtracted from r.  In characteristic 0 int a and b with c = +-1 give an
-    int quotient; any other c gives Fractions."""
+    c^-1 * r_n.  With n0 >= 1 the lowest level of b - c, a block holds the
+    quotient rows from its first level k below k + n0; their product with
+    b - c lies at k + n0 or above, and is subtracted from r by one
+    _multiply_rows call before level k + n0 is read.  So dividing over l
+    levels makes at most ceil(l / n0) such calls.  In characteristic 0 int
+    a and b with c = +-1 give an int quotient; any other c gives
+    Fractions."""
     _check_same(a, b)
     ctx, l = a.ctx, a.level
     row0 = b.rows.get(0, {})
@@ -318,14 +336,19 @@ def divide(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     for n, row in b.rows.items():
         if n:
             _radd_row(tail, n, row, -1, p)
+    tail = sorted(tail.items())
+    n0 = tail[0][0] if tail else l
     rest = {n: dict(row) for n, row in a.rows.items()}
     quot: Rows = {}
+    block: Rows = {}   # the quotient rows not yet subtracted, by ascending level
     for n in range(l):
+        if block and n >= next(iter(block)) + n0:
+            _multiply_rows(ctx, l, rest, block, tail)
+            block = {}
         row = rest.pop(n, None)
-        if not row:
-            continue
-        _radd_row(quot, n, row, cinv, p)
-        _multiply_rows(ctx, l, rest, {n: quot[n]}, tail)
+        if row:
+            _radd_row(quot, n, row, cinv, p)
+            block[n] = quot[n]
     return AlgebraElement(ctx, l, quot)
 
 
@@ -457,6 +480,10 @@ def xi_power(ctx: AlgebraContext, l: int, m: int) -> AlgebraElement:
     closed form of x(0, 0) * w^delta at delta = -u2*m (_z_start), spelled
     with shift u*m: column i holds C(f_(i-1) - u2*m, i) * (1-x)^(h_i + u*m)
     from level i on.  Checked to be exactly 1 at level 0."""
+    if type(l) is not int:
+        raise LevelError(_non_int_message(l=l))
+    if type(m) is not int:
+        raise RangeError(_non_int_message(m=m))
     if l < 1:
         raise LevelError("truncation level must be >= 1")
     rows = _spell_columns(ctx, l, _z_start(ctx, 0, -ctx.u2 * m, l)[4], 0, 0, ctx.u * m)
@@ -554,6 +581,8 @@ def subspace_decompose(
     position, each runs its own sweep with that position alone, all within
     this one call.
     """
+    if type(m) is not int or type(l) is not int:
+        raise LevelError(_non_int_message(m=m, l=l))
     if not 0 <= m < l:
         raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
     if policy not in ("A", "B"):

@@ -68,7 +68,9 @@ from .errors import (
     BudgetExceeded,
     ClaimViolation,
     InconsistencyError,
+    LevelError,
     RangeError,
+    _non_int_message,
 )
 from .fields import FieldSpec
 from .geometry import (
@@ -165,6 +167,8 @@ def cohomology_dims(
 ) -> CohomReport:
     """Section and obstruction dimensions of the restriction window [m, l);
     overlaps_and_gaps rejects an empty window with LevelError."""
+    if type(m) is not int or type(l) is not int:
+        raise LevelError(_non_int_message(m=m, l=l))
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l)
     rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)
@@ -244,6 +248,8 @@ def factorization_search(
     factorization is re-verified by multiplying its two units out against
     the one xi^m the search reduced.
     """
+    if type(m) is not int or type(branch_budget) is not int:
+        raise RangeError(_non_int_message(m=m, branch_budget=branch_budget))
     if m < 1:
         raise RangeError("m must be a positive integer")
     if branch_budget < 1:
@@ -272,7 +278,7 @@ def factorization_search(
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
             one_fb = AlgebraElement(ctx, l, fb_rows)
-            rho, u_b = divide(rho, one_fb), multiply(one_fb, u_b)
+            rho, u_b = divide(rho, one_fb), multiply(u_b, one_fb)
         n += 1
         if n == l:
             if rho != one(ctx, l):

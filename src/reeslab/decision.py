@@ -41,6 +41,7 @@ from .errors import (
     ReesLabError,
     TheoremViolation,
     WidthError,
+    _non_int_message,
 )
 from .fields import FieldSpec
 from .geometry import (
@@ -72,6 +73,9 @@ class SearchBounds:
     branch_budget: int = DEFAULT_BRANCH_BUDGET
 
     def __post_init__(self):
+        values = {k: v for k, v in vars(self).items() if v is not None}
+        if any(type(v) is not int for v in values.values()):
+            raise RangeError(_non_int_message(**values))
         if self.r_max < 0:
             raise RangeError(f"r_max must be >= 0, got {self.r_max}")
         if self.m_max < 1:
@@ -130,6 +134,8 @@ def d_set(ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, r: int, j: int) -
         raise ContextError("witness windows need a positive characteristic")
     if pd.theta + pd.theta_prime != pd.sigma:
         raise WidthError("window analysis requires a width-1 triangle")
+    if type(r) is not int or type(j) is not int:
+        raise RangeError(_non_int_message(r=r, j=j))
     if r < 0 or j < 1:
         raise RangeError("need r >= 0 and j >= 1")
     if math.gcd(j, p) != 1:

@@ -80,3 +80,11 @@ class TheoremViolation(InternalError):
 
 class BudgetExceeded(ReesLabError):
     """A bounded search ran out of budget before reaching a conclusion."""
+
+
+def _non_int_message(**values) -> str:
+    """The message naming the first value whose type is not exactly int, with
+    its repr.  Callers test type(value) is not int first: a float would fail
+    later with a bare TypeError, and True would pass for 1."""
+    name, value = next((k, v) for k, v in values.items() if type(v) is not int)
+    return f"{name} must be an int, got {value!r}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RangeError
+from .errors import RangeError, _non_int_message
 
 
 def is_prime(n: int) -> bool:
@@ -42,8 +42,8 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise RangeError(f"characteristic must be an int, got {p!r}")
+        if type(p) is not int:
+            raise RangeError(_non_int_message(characteristic=p))
         if p != 0 and not is_prime(p):
             raise RangeError(f"characteristic must be 0 or a prime, got {p}")
 

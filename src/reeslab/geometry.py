@@ -271,14 +271,16 @@ class ConeTables:
         return 0 if i > 0 else _count(self._pb_law, -i)
 
     def min_pa_col(self, n: int) -> int:
-        """Smallest column alpha >= 0 with a(alpha) >= n+1."""
+        """Smallest column alpha >= 0 with a(alpha) >= n+1; n an int, not
+        checked, since the engines read thresholds in their hot loops."""
         k = _locate(self._pa_law, n)
         if pa_member(self, k - 1, n):
             raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
         return k
 
     def max_pb_col(self, n: int) -> int:
-        """Largest column n + i, i <= 0, with b(i) >= n+1."""
+        """Largest column n + i, i <= 0, with b(i) >= n+1; n an int, not
+        checked (see min_pa_col)."""
         k = _locate(self._pb_law, n)
         if pb_member(self, n - k + 1, n):
             raise ClaimViolation(f"cone threshold {k} at level {n} is not its cone's edge")
@@ -290,6 +292,8 @@ def cone_tables(tri: NormalizedTriangle) -> ConeTables:
 
 
 def pa_member(ct: ConeTables, alpha: int, n: int) -> bool:
+    """Whether (alpha, n) lies in the first cone; alpha and n ints, not
+    checked, since every threshold read certifies itself through it."""
     return alpha >= 0 and n >= 0 and _count(ct._pa_law, alpha) >= n + 1
 
 

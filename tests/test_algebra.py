@@ -296,11 +296,13 @@ DIVIDE_SLOPES = [(0, 1), (1, 2), (1, 3), (2, 3), (5, 6)]
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DIVIDE_SLOPES), st.sampled_from([0, 2, 3, 5, 7]),
-       st.integers(min_value=1, max_value=10), st.booleans(), st.data())
+       st.integers(min_value=1, max_value=24), st.booleans(), st.data())
 def test_divide_matches_the_series_inverse(slope, p, l, z_unit, data):
-    # b = k * (1 + f * x(alpha, n)), a single-level unit, or k * (1 + f *
-    # z(alpha, n)) with its whole tail: the one-pass quotient a / b times b
-    # is a again, and it equals a times the geometric-series inverse of b.
+    # b = k * (1 + sum f * x(alpha, n)), or k * (1 + sum f * z(alpha, n))
+    # with whole tails, over one or two distinct levels n: the quotient a / b
+    # times b is a again, and it equals a times the geometric-series inverse
+    # of b.  With two levels the division's blocks, n0 = the lower n levels
+    # long, end inside the tail of b.
     ctx = AlgebraContext(*slope, FieldSpec(p))
     fld = ctx.field
 
@@ -317,15 +319,39 @@ def test_divide_matches_the_series_inverse(slope, p, l, z_unit, data):
                   for alpha, n in data.draw(st.lists(positions, max_size=6))])
     b = one(ctx, l)
     if l > 1:
-        alpha = data.draw(st.integers(min_value=-4, max_value=8))
-        n = data.draw(st.integers(min_value=1, max_value=l - 1))
-        part = _fresh_z(ctx, l, alpha, n) if z_unit else x_basis(ctx, l, alpha, n)
-        b = combine((1, b), (coeff(), part))
+        levels = st.integers(min_value=1, max_value=l - 1)
+        for n in data.draw(st.lists(levels, min_size=1, max_size=2, unique=True)):
+            alpha = data.draw(st.integers(min_value=-4, max_value=8))
+            part = _fresh_z(ctx, l, alpha, n) if z_unit else x_basis(ctx, l, alpha, n)
+            b = combine((1, b), (coeff(), part))
     b = combine((coeff(), b))
     q = divide(a, b)
     assert multiply(q, b) == a
     assert q == multiply(a, series_inverse(b))
     assert invert_unit(b) == series_inverse(b)
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("n0", [1, 2, 5, 7, 12, 22])
+def test_a_division_subtracts_its_quotient_in_blocks_of_n0_levels(p, n0, monkeypatch):
+    # The tail of b = 1 + 2 z(3, n0) + x(1, n0 + 1) starts at level n0, and
+    # the quotient of xi^-3 by b has a row at every level: a division over l
+    # levels makes at most ceil(l / n0) products, one per block of quotient
+    # rows, where one per quotient level would make up to l.
+    ctx = AlgebraContext(1, 2, FieldSpec(p))
+    l = 24
+    a = xi_power(ctx, l, -3)
+    b = combine((1, one(ctx, l)), (2, _fresh_z(ctx, l, 3, n0)), (1, x_basis(ctx, l, 1, n0 + 1)))
+    calls = []
+    rows = algebra._multiply_rows
+    monkeypatch.setattr(algebra, "_multiply_rows",
+                        lambda *args: calls.append(1) or rows(*args))
+    q = divide(a, b)
+    assert 1 <= len(calls) <= -(-l // n0)
+    assert len(q.rows) == l
+    monkeypatch.undo()
+    assert multiply(q, b) == a
+    assert q == multiply(a, series_inverse(b))
 
 
 def test_char0_inverse_of_a_sign_is_an_int():

@@ -33,7 +33,7 @@ from reeslab.cohomology import (
     factorization_search,
     per_level_chi,
 )
-from reeslab.decision import d_set, decide
+from reeslab.decision import SearchBounds, d_set, decide
 from reeslab.errors import (
     BudgetExceeded,
     ClaimViolation,
@@ -349,6 +349,28 @@ def test_entry_point_arguments_raise_input_errors():
     for p, shown in ((5.0, "5.0"), (F(5), r"Fraction\(5, 1\)"), ("5", "'5'"), (False, "False")):
         with pytest.raises(RangeError, match=f"must be an int, got {shown}$"):
             FieldSpec(p)
+    # The library entry points refuse a non-int or a bool the same way, the
+    # levels of a window or truncation with LevelError: a float would raise
+    # a bare TypeError later, and True would run as 1.
+    for call, error, name, shown in (
+            (lambda: factorization_search(ctx, ct, pd, 2.0), RangeError, "m", "2.0"),
+            (lambda: factorization_search(ctx, ct, pd, True), RangeError, "m", "True"),
+            (lambda: factorization_search(ctx, ct, pd, 2, branch_budget=2.5), RangeError,
+             "branch_budget", "2.5"),
+            (lambda: xi_power(ctx, 12.0, 1), LevelError, "l", "12.0"),
+            (lambda: xi_power(ctx, 12, F(1)), RangeError, "m", r"Fraction\(1, 1\)"),
+            (lambda: cohomology_dims(ctx, ct, pd, 12.0, 24), LevelError, "m", "12.0"),
+            (lambda: cohomology_dims(ctx, ct, pd, 0, True), LevelError, "l", "True"),
+            (lambda: subspace_decompose(ctx, ct, 12, 24.0, []), LevelError, "l", "24.0"),
+            (lambda: subspace_decompose(ctx, ct, False, 24, []), LevelError, "m", "False"),
+            (lambda: d_set(ctx, ct, pd, 1.0, 1), RangeError, "r", "1.0"),
+            (lambda: d_set(ctx, ct, pd, 0, True), RangeError, "j", "True"),
+            (lambda: SearchBounds(r_max=True), RangeError, "r_max", "True"),
+            (lambda: SearchBounds(j_max=2.0), RangeError, "j_max", "2.0"),
+            (lambda: SearchBounds(m_max=2.5), RangeError, "m_max", "2.5"),
+            (lambda: SearchBounds(branch_budget="5"), RangeError, "branch_budget", "'5'")):
+        with pytest.raises(error, match=f"^{name} must be an int, got {shown}$"):
+            call()
     with pytest.raises(ContextError, match=r"\(2, 4\)"):    # no reduced slope
         AlgebraContext(2, 4, RATIONALS)
     with pytest.raises(LevelError, match="got 0"):
@@ -742,6 +764,32 @@ SERIES_ROUTE_OUTCOMES = [
 ]
 
 
+# The same for searches past factor-q's largest truncation (l = 28), as the
+# search gave them when it subtracted one quotient row per level in each
+# division: the worked example at l = 98, 140 and 50, and the unit right
+# triangle at l = 300.
+LARGE_TRUNCATION_OUTCOMES = [
+    (WORKED, 7, 49, {'success': False, 'branches_explored': 7,
+                     'obstruction': {'level': 61, 'residual': [[51, 61, '1']]}}, None),
+    (WORKED, 7, 70, {'success': False, 'branches_explored': 0,
+                     'obstruction': {'level': 8, 'residual': [[7, 8, '2']]}}, None),
+    (WORKED, 5, 25, {'success': False, 'branches_explored': 0,
+                     'obstruction': {'level': 30, 'residual': [[25, 30, '2']]}}, None),
+    (UNIT_RIGHT, 3, 300, {'success': True, 'branches_explored': 11},
+     '0b51f61311325c33b27ec2c8846508c223ae2be1fd1904a3ee6085435003ddfd'),
+]
+
+
+def assert_search_outcome(vertices, p, m, expected, units):
+    tri = normalize_triangle(vertices)
+    out = factorization_search(context_for(tri, FieldSpec(p)), cone_tables(tri),
+                               period_data(tri), m)
+    assert out.to_dict() == {"kind": "A4", "m": m, "l": m * tri.u, **expected}
+    dumps = (f"{algebra.dump_element(out.unit_a)}\n--\n"
+             f"{algebra.dump_element(out.unit_b)}") if out.success else None
+    assert (dumps and hashlib.sha256(dumps.encode()).hexdigest()) == units
+
+
 def test_factorization_divides_without_a_series_inverse(monkeypatch):
     # The search divides by each chart unit in one pass (algebra.divide) and
     # never inverts one; its outcomes and units are those of the series route.
@@ -750,14 +798,13 @@ def test_factorization_divides_without_a_series_inverse(monkeypatch):
 
     for module in (algebra, cohomology):
         monkeypatch.setattr(module, "invert_unit", refuse, raising=False)
-    for vertices, p, m, expected, units in SERIES_ROUTE_OUTCOMES:
-        tri = normalize_triangle(vertices)
-        out = factorization_search(context_for(tri, FieldSpec(p)), cone_tables(tri),
-                                   period_data(tri), m)
-        assert out.to_dict() == {"kind": "A4", "m": m, "l": m * tri.u, **expected}
-        dumps = (f"{algebra.dump_element(out.unit_a)}\n--\n"
-                 f"{algebra.dump_element(out.unit_b)}") if out.success else None
-        assert (dumps and hashlib.sha256(dumps.encode()).hexdigest()) == units
+    for case in SERIES_ROUTE_OUTCOMES:
+        assert_search_outcome(*case)
+
+
+@pytest.mark.parametrize("vertices, p, m, expected, units", LARGE_TRUNCATION_OUTCOMES)
+def test_large_truncation_searches_match_their_golden_outcomes(vertices, p, m, expected, units):
+    assert_search_outcome(vertices, p, m, expected, units)
 
 
 def a4_certificate_holds(ctx, ct, m, u_a, u_b):
