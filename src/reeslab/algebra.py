@@ -11,7 +11,7 @@ the x-basis (leading term at (alpha, n), tail strictly above level n).
 Every z-expansion, and every power of the chart transition unit xi =
 (1-x)^u * w^(-u2), has one binomial series per column.  With alpha0 in
 [0, u), f_i = floor((alpha0+i)*u2/u) - floor(alpha0*u2/u) and delta =
-ceil((alpha0-n)*ubar) - ceil(alpha0*ubar) >= 0,
+ceil((alpha0-n)*ubar) - ceil(alpha0*ubar) >= 0 (as ubar <= 0 <= n),
 
     z(alpha0, n) = sum_i c_i * x(alpha0+i, n+i) * (1-x)^(h_i - n),
     h_i = delta + f_i - i,   c_i = C(delta + f_(i-1), i),
@@ -101,7 +101,7 @@ from .errors import (
     _non_int_message,
 )
 from .fields import FieldSpec
-from .geometry import ConeTables
+from .geometry import ConeTables, _check_window
 
 Rows = dict  # level -> {column -> coefficient}
 
@@ -119,6 +119,8 @@ class AlgebraContext:
 
     def __post_init__(self):
         u2, u = self.u2, self.u
+        if type(u2) is not int or type(u) is not int:
+            raise RangeError(_non_int_message(u2=u2, u=u))
         if u <= 0 or u2 < 0 or u2 > u or math.gcd(u2, u) != 1:
             raise ContextError(f"invalid slope pair ({u2}, {u})")
 
@@ -222,6 +224,8 @@ def _check_same(e1: AlgebraElement, e2: AlgebraElement) -> None:
 
 
 def x_basis(ctx: AlgebraContext, l: int, alpha: int, n: int) -> AlgebraElement:
+    if type(l) is not int or type(alpha) is not int or type(n) is not int:
+        raise LevelError(_non_int_message(l=l, alpha=alpha, n=n))
     if not 0 <= n < l:
         raise LevelError(f"basis level {n} outside [0, {l})")
     return AlgebraElement(ctx, l, {n: {alpha: 1}})
@@ -425,17 +429,17 @@ def _z_columns(ctx: AlgebraContext, alpha0: int, n: int, width: int, cursor: dic
     state below that delta is carried forward to it (_z_carry), and one at
     it is read as it is.  The cursor only walks forward: a state above that
     delta, or with fewer than width columns, raises InconsistencyError.  The
-    result becomes the newest state."""
+    result becomes the newest state; its leading term is checked when made."""
     delta = ctx.ceil_slope(alpha0 - n) - ctx.ceil_slope(alpha0)
-    if delta < 0:
-        raise InconsistencyError(f"negative w exponent {delta} for z({alpha0}, {n})")
     state = cursor.get(alpha0)
     if state is None:
         state = _z_start(ctx, alpha0, delta, width)
     elif state[0] > delta or len(state[2]) < width:
         raise InconsistencyError(f"z({alpha0}, {n}) over {width} columns is behind the "
                                  f"cursor's delta {state[0]} over {len(state[2])}")
-    elif state[0] < delta:
+    elif state[0] == delta:
+        return state
+    else:
         state = _z_carry(ctx.field.characteristic, state, delta, width)
     if state[1][0] != 1:
         raise InconsistencyError(f"z({alpha0}, {n}) has leading coefficient {state[1][0]}, not 1")
@@ -577,14 +581,11 @@ def subspace_decompose(
     one int, row i in the bits from width*i on, with width from _slot_width;
     slots stay nonnegative (c*z is subtracted as (p - c)*z) and are reduced
     mod p when the position is read, which happens once, since z-tails reach
-    only higher levels.  Rationals are not packed: with more than one
-    position, each runs its own sweep with that position alone, all within
-    this one call.
+    only higher levels.  Char-0 ints are signed and unbounded, so no slot
+    width holds them: with more than one position, each runs its own sweep
+    with that position alone, all within this one call.
     """
-    if type(m) is not int or type(l) is not int:
-        raise LevelError(_non_int_message(m=m, l=l))
-    if not 0 <= m < l:
-        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
+    _check_window(m, l)
     if policy not in ("A", "B"):
         raise RangeError(f"policy must be 'A' or 'B', got {policy!r}")
     if not ctx.field.characteristic and len(overlaps) > 1:
@@ -601,6 +602,15 @@ def _sweep(ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list,
     tops = cols_a if policy == "A" else [max(a, b + 1) for a, b in zip(cols_a, cols_b)]
     depths = [col_b - n for n, col_b in enumerate(cols_b, m)]
     deep = min(depths)
+    seeds: dict = {}
+    for i, (alpha, n) in enumerate(overlaps):
+        if type(alpha) is not int or type(n) is not int:
+            raise LevelError(_non_int_message(alpha=alpha, n=n))
+        if not m <= n < l:
+            raise LevelError(f"overlap ({alpha}, {n}) outside the window [{m}, {l})")
+        if alpha < 0:
+            raise InconsistencyError(f"residual column {alpha} < 0 at level {n}")
+        seeds.setdefault(n, []).append((i, alpha))
     # first[a]: the first level at which column a is live, for the columns
     # below the largest top(N) of the window; no later column ever is.
     first: list[int] = []
@@ -615,13 +625,6 @@ def _sweep(ctx: AlgebraContext, ct: ConeTables, m: int, l: int, overlaps: list,
                       for n, col_b in enumerate(cols_b, m))
     width = _slot_width(p, visit_bound) if p else 0
     mask = (1 << width) - 1
-    seeds: dict = {}
-    for i, (alpha, n) in enumerate(overlaps):
-        if not m <= n < l:
-            raise LevelError(f"overlap ({alpha}, {n}) outside the window [{m}, {l})")
-        if alpha < 0:
-            raise InconsistencyError(f"residual column {alpha} < 0 at level {n}")
-        seeds.setdefault(n, []).append((i, alpha))
     residual = [{} for _ in range(m, l)]   # level - m -> {column: coeff}
     rows: list[dict] = [{} for _ in overlaps]
     live: list[int] = []      # rows seeded so far ...

@@ -85,6 +85,8 @@ DEFAULT_BRANCH_BUDGET = 10_000
 
 def per_level_chi(ct: ConeTables, n: int) -> int:
     """Overlap count minus gap count at a single level, exactly."""
+    if type(n) is not int:
+        raise LevelError(_non_int_message(n=n))
     return ct.max_pb_col(n) - ct.min_pa_col(n) + 1
 
 
@@ -166,9 +168,7 @@ def cohomology_dims(
     policy: str = "A",
 ) -> CohomReport:
     """Section and obstruction dimensions of the restriction window [m, l);
-    overlaps_and_gaps rejects an empty window with LevelError."""
-    if type(m) is not int or type(l) is not int:
-        raise LevelError(_non_int_message(m=m, l=l))
+    overlaps_and_gaps, its first call, refuses bad levels with LevelError."""
     overlaps, gaps = overlaps_and_gaps(ct, pd, m, l)
     rows = subspace_decompose(ctx, ct, m, l, overlaps, policy=policy).rows
     rank, pivot_gaps = _echelon_rank(rows, gaps, ctx.field)

@@ -5,10 +5,11 @@ characteristic p, and ``int`` in characteristic 0.  A ``fractions.Fraction``
 enters only through an inverse other than +-1, and spreads to every sum and
 product it meets.  Keeping coefficients primitive lets the hot loops in the
 section algebra stay free of per-element dispatch.  ``FieldSpec`` only
-checks the characteristic and inverts; sums and products are reduced mod p
-where they are accumulated, in ``algebra._radd`` (one term) and
-``algebra._radd_row`` (a scaled row, also used by the elimination in
-``cohomology._echelon_rank``).
+checks the characteristic and inverts: p is prime when ``factorize_integer``
+(the one trial division; check (h) of verify-example uses it too) returns
+{p: 1}.  Sums and products are reduced mod p where they are accumulated, in
+``algebra._radd`` (one term) and ``algebra._radd_row`` (a scaled row, also
+used by the elimination in ``cohomology._echelon_rank``).
 """
 
 from __future__ import annotations
@@ -19,19 +20,20 @@ from fractions import Fraction
 from .errors import RangeError, _non_int_message
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def factorize_integer(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (independent of any library)."""
+    if n < 1:
+        raise RangeError(f"expected a positive integer, got {n}")
+    out: dict[int, int] = {}
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class FieldSpec:
         p = self.characteristic
         if type(p) is not int:
             raise RangeError(_non_int_message(characteristic=p))
-        if p != 0 and not is_prime(p):
+        if p != 0 and (p < 2 or factorize_integer(p) != {p: 1}):
             raise RangeError(f"characteristic must be 0 or a prime, got {p}")
 
     def inv(self, a):

@@ -22,6 +22,7 @@ from .errors import (
     SlopeError,
     TriangleFileError,
     WidthError,
+    _non_int_message,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -167,9 +168,10 @@ def normalize_triangle(vertices: Sequence[Point]) -> NormalizedTriangle:
 
 @dataclass(frozen=True)
 class PeriodData:
-    """sigma is the least dilation making all triangle vertices integral;
-    theta = -x2*sigma and theta_prime = x1*sigma.  For width-1 triangles
-    sigma = theta + theta_prime and u | sigma."""
+    """sigma, the lcm of the vertex denominators, is the least dilation making
+    the vertices integral, so theta = -x2*sigma and theta_prime = x1*sigma
+    are ints.  theta + theta_prime = W*sigma is sigma at width 1, and u |
+    sigma there, which reads the stored u and so is checked."""
 
     sigma: int
     theta: int
@@ -177,22 +179,11 @@ class PeriodData:
 
 
 def period_data(tri: NormalizedTriangle) -> PeriodData:
-    sigma = 1
-    for x, y in tri.vertices:
-        sigma = math.lcm(sigma, x.denominator, y.denominator)
-    theta = -tri.x2 * sigma
-    theta_prime = tri.x1 * sigma
-    if theta.denominator != 1 or theta_prime.denominator != 1:
-        raise DegenerateError(
-            f"theta={theta} or theta'={theta_prime} is not an integer at sigma={sigma}")
-    theta, theta_prime = int(theta), int(theta_prime)
-    if tri.width == 1:
-        # Both facts below are specific to width 1; see PeriodData docstring.
-        if theta + theta_prime != sigma:
-            raise DegenerateError(
-                f"sigma={sigma} != theta+theta'={theta + theta_prime}")
-        if sigma % tri.u != 0:
-            raise DegenerateError(f"u={tri.u} does not divide sigma={sigma}")
+    sigma = math.lcm(*(c.denominator for v in tri.vertices for c in v))
+    theta = -tri.x2.numerator * (sigma // tri.x2.denominator)
+    theta_prime = tri.x1.numerator * (sigma // tri.x1.denominator)
+    if theta + theta_prime == sigma and sigma % tri.u:
+        raise DegenerateError(f"u={tri.u} does not divide sigma={sigma}")
     return PeriodData(sigma=sigma, theta=theta, theta_prime=theta_prime)
 
 
@@ -231,13 +222,15 @@ class ConeTables:
     i >= 0, with an infinite sentinel when sbar is infinite.  b(i) is the
     analogue for the cone spanned by (-u, u2) and (-t3, t), defined for
     i <= 0 and set to 0 for i > 0.  At k >= 0 both are the law count(k) =
-    floor(k*A) + floor(k*B) + 1 (_count): a(k) with (A, B) = (sbar, -ubar)
-    and b(-k) with (A, B) = (-tbar, ubar), each slope an integer numerator
-    and denominator, so no Fraction is built per query.
+    floor(k*A) + floor(k*B) + 1 (_count): a(k) with (A, B) = (s2/s3, u2/u)
+    and b(-k) with (A, B) = (t/t3, -u2/u), read from the slope pairs the
+    triangle stores (s3 or t3 zero at an infinite edge), so no Fraction is
+    built per query.
 
-    A threshold is located upwards from ceil(n/(A+B)) (_locate) in at most
-    2 counts, since a normalized triangle has sbar - ubar = 1/|x2| >= 1 and
-    ubar - tbar = 1/x1 >= 1, so it is computed afresh at every read.
+    normalize_triangle proves A + B >= 1 on both laws: A + B is sbar - ubar
+    = 1/|x2| and ubar - tbar = 1/x1, and |x2|, x1 <= W <= 1.  So both counts
+    are unbounded, and a threshold is located upwards from ceil(n/(A+B))
+    (_locate) in at most 2 counts; it is computed afresh at every read.
 
     The thresholds decide membership at every column, since a(i) and b(-k)
     are nondecreasing: floor(i*sbar) and floor(i*u2/u) do not fall as i
@@ -252,15 +245,9 @@ class ConeTables:
 
     __slots__ = ("_pa_law", "_pb_law")
 
-    def __init__(self, sbar: Fraction | None, tbar: Fraction | None, ubar: Fraction):
-        # Strict slope separation makes A+B > 0, so both counts are unbounded.
-        if sbar is not None and sbar <= ubar:
-            raise SlopeError(f"sbar={sbar} must exceed ubar={ubar}")
-        if tbar is not None and tbar >= ubar:
-            raise SlopeError(f"tbar={tbar} must be below ubar={ubar}")
-        u2, u = -ubar.numerator, ubar.denominator
-        self._pa_law = None if sbar is None else ((sbar.numerator, sbar.denominator), (u2, u))
-        self._pb_law = None if tbar is None else ((-tbar.numerator, tbar.denominator), (-u2, u))
+    def __init__(self, tri: NormalizedTriangle):
+        self._pa_law = ((tri.s2, tri.s3), (tri.u2, tri.u)) if tri.s3 else None
+        self._pb_law = ((tri.t, tri.t3), (-tri.u2, tri.u)) if tri.t3 else None
 
     def a(self, i: int):
         if i < 0:
@@ -288,7 +275,7 @@ class ConeTables:
 
 
 def cone_tables(tri: NormalizedTriangle) -> ConeTables:
-    return ConeTables(sbar=tri.sbar, tbar=tri.tbar, ubar=tri.ubar)
+    return ConeTables(tri)
 
 
 def pa_member(ct: ConeTables, alpha: int, n: int) -> bool:
@@ -299,6 +286,13 @@ def pa_member(ct: ConeTables, alpha: int, n: int) -> bool:
 
 def pb_member(ct: ConeTables, alpha: int, n: int) -> bool:
     return 0 <= n and alpha <= n and _count(ct._pb_law, n - alpha) >= n + 1
+
+
+def _check_window(m: int, l: int) -> None:
+    if type(m) is not int or type(l) is not int:
+        raise LevelError(_non_int_message(m=m, l=l))
+    if not 0 <= m < l:
+        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
 
 
 def overlaps_and_gaps(
@@ -317,8 +311,7 @@ def overlaps_and_gaps(
     thresholds this is the whole strip law: no overlap off the lattice, and
     no gap outside the strip.
     """
-    if not 0 <= m < l:
-        raise LevelError(f"need 0 <= m < l, got m={m}, l={l}")
+    _check_window(m, l)
     sigma, theta = pd.sigma, pd.theta
     overlaps = [(k * theta, k * sigma) for k in range(-(-m // sigma), -(-l // sigma))]
     gaps: list[tuple[int, int]] = []

@@ -34,6 +34,9 @@ first_reaching finds a cone threshold by a galloping then a binary search
 over the column count alone; it checks geometry._locate, which walks up
 from the count law's lower bound ceil(n/(A+B)).  cone_periods gives each
 threshold's period (P, Q), the law the tests check the thresholds against.
+slope_laws derives the two count laws from the Fraction slopes sbar, tbar
+and ubar; it checks geometry.ConeTables, which reads the slope pairs
+normalize_triangle stores.
 
 No module of reeslab uses these routes.
 """
@@ -124,6 +127,16 @@ def cone_periods(tri: NormalizedTriangle) -> tuple:
     max_pb_col(n) + Q - P, each with its own (P, Q)."""
     return (threshold_period(tri.sbar, -tri.ubar),
             threshold_period(None if tri.tbar is None else -tri.tbar, tri.ubar))
+
+
+def slope_laws(tri: NormalizedTriangle) -> tuple:
+    """The count laws ((A num, A den), (B num, B den)) of the two cones from
+    the Fraction slopes: (sbar, -ubar) and (-tbar, ubar), None for an
+    infinite edge."""
+    def law(a: Fraction | None, b: Fraction):
+        return None if a is None else ((a.numerator, a.denominator), (b.numerator, b.denominator))
+    return (law(tri.sbar, -tri.ubar),
+            law(None if tri.tbar is None else -tri.tbar, tri.ubar))
 
 
 def fold_z_state(ctx: AlgebraContext, alpha0: int, delta: int, width: int) -> tuple:

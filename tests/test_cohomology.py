@@ -350,8 +350,10 @@ def test_entry_point_arguments_raise_input_errors():
         with pytest.raises(RangeError, match=f"must be an int, got {shown}$"):
             FieldSpec(p)
     # The library entry points refuse a non-int or a bool the same way, the
-    # levels of a window or truncation with LevelError: a float would raise
-    # a bare TypeError later, and True would run as 1.
+    # levels, columns and seed positions of a window or truncation with
+    # LevelError and the slope pair of a context with RangeError: a float
+    # would raise a bare TypeError later or become a float key, and True
+    # would run as 1.
     for call, error, name, shown in (
             (lambda: factorization_search(ctx, ct, pd, 2.0), RangeError, "m", "2.0"),
             (lambda: factorization_search(ctx, ct, pd, True), RangeError, "m", "True"),
@@ -361,6 +363,18 @@ def test_entry_point_arguments_raise_input_errors():
             (lambda: xi_power(ctx, 12, F(1)), RangeError, "m", r"Fraction\(1, 1\)"),
             (lambda: cohomology_dims(ctx, ct, pd, 12.0, 24), LevelError, "m", "12.0"),
             (lambda: cohomology_dims(ctx, ct, pd, 0, True), LevelError, "l", "True"),
+            (lambda: overlaps_and_gaps(ct, pd, 12.0, 24), LevelError, "m", "12.0"),
+            (lambda: overlaps_and_gaps(ct, pd, True, 24), LevelError, "m", "True"),
+            (lambda: per_level_chi(ct, 2.5), LevelError, "n", "2.5"),
+            (lambda: per_level_chi(ct, True), LevelError, "n", "True"),
+            (lambda: x_basis(ctx, 4.0, 0, 1), LevelError, "l", "4.0"),
+            (lambda: x_basis(ctx, 4, 1.0, 1), LevelError, "alpha", "1.0"),
+            (lambda: x_basis(ctx, 4, 0, F(1)), LevelError, "n", r"Fraction\(1, 1\)"),
+            (lambda: AlgebraContext(1.0, 2, FieldSpec(5)), RangeError, "u2", "1.0"),
+            (lambda: AlgebraContext(1, True, FieldSpec(5)), RangeError, "u", "True"),
+            (lambda: subspace_decompose(ctx, ct, 12, 24, [(10.0, 12)]), LevelError, "alpha",
+             "10.0"),
+            (lambda: subspace_decompose(ctx, ct, 12, 24, [(10, 12.0)]), LevelError, "n", "12.0"),
             (lambda: subspace_decompose(ctx, ct, 12, 24.0, []), LevelError, "l", "24.0"),
             (lambda: subspace_decompose(ctx, ct, False, 24, []), LevelError, "m", "False"),
             (lambda: d_set(ctx, ct, pd, 1.0, 1), RangeError, "r", "1.0"),

@@ -1,6 +1,7 @@
 """Tests for the theorem-level decision procedures and the family scanner."""
 
 import dataclasses
+import math
 import sys
 from fractions import Fraction as F
 
@@ -272,6 +273,22 @@ def test_factorize_integer():
     assert factorize_integer(250258653) == {3: 5, 23: 1, 44777: 1}
     assert factorize_integer(44777) == {44777: 1}
     assert factorize_integer(2**10) == {2: 10}
+
+
+def test_field_spec_accepts_exactly_the_primes():
+    # FieldSpec reads a prime through factorize_integer, the package's one
+    # trial division; a sieve written here is the independent oracle.
+    limit = 2000
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+    for p in range(-3, limit):
+        if p > 0 and sieve[p]:
+            assert FieldSpec(p).characteristic == p
+        elif p:
+            with pytest.raises(RangeError, match=f"must be 0 or a prime, got {p}$"):
+                FieldSpec(p)
 
 
 @pytest.mark.parametrize("n", [0, -12])

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reeslab import geometry
+from reeslab.algebra import _z_columns, context_for
 from reeslab.errors import (
     ClaimViolation,
     DegenerateError,
@@ -18,6 +19,7 @@ from reeslab.errors import (
     TriangleFileError,
     WidthError,
 )
+from reeslab.fields import RATIONALS
 from reeslab.geometry import (
     INF,
     cone_tables,
@@ -32,7 +34,7 @@ from reeslab.geometry import (
     toric_data,
 )
 
-from oracles import cone_periods, delta_prime, first_reaching
+from oracles import cone_periods, delta_prime, first_reaching, slope_laws
 
 WORKED = [(F(-5, 6), F(5, 12)), (F(1, 6), F(-1, 12)), (0, 1)]
 UNIT_RIGHT = [(0, 0), (1, 0), (0, 1)]
@@ -432,6 +434,67 @@ def test_cone_tables_match_fraction_formula(tri):
         else:
             want = math.floor(i * tri.tbar) - math.ceil(i * tri.ubar) + 1
         assert ct.b(i) == want
+
+
+# Facts the code relies on without a runtime check, since its own
+# arithmetic guarantees each.
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(normalized_triangles(), width_one_triangles()))
+def test_period_data_needs_no_integrality_check(tri):
+    # sigma is the least dilation making the vertices integral, so theta and
+    # theta' are ints, and at width 1 they sum to sigma, which u divides.
+    pd = period_data(tri)
+    coords = [c for v in tri.vertices for c in v]
+    assert pd.sigma == next(s for s in range(1, pd.sigma + 1)
+                            if all((s * c).denominator == 1 for c in coords))
+    assert type(pd.theta) is int and type(pd.theta_prime) is int
+    assert (pd.theta, pd.theta_prime) == (-tri.x2 * pd.sigma, tri.x1 * pd.sigma)
+    if tri.width == 1:
+        assert pd.theta + pd.theta_prime == pd.sigma
+        assert pd.sigma % tri.u == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(normalized_triangles(), width_one_triangles()))
+def test_cone_tables_read_the_stored_slope_pairs(tri):
+    # The laws from the stored (s2, s3), (t, t3), (u2, u) are the laws of
+    # the Fraction slopes, and A + B >= 1 on both: sbar - ubar = 1/|x2| and
+    # ubar - tbar = 1/x1 with |x2|, x1 <= 1.
+    ct = geometry.ConeTables(tri)
+    assert (ct._pa_law, ct._pb_law) == slope_laws(tri)
+    for law in (ct._pa_law, ct._pb_law):
+        if law is not None:
+            (an, ad), (bn, bd) = law
+            assert F(an, ad) + F(bn, bd) >= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(width_one_triangles())
+def test_d_set_windows_hold_p_to_the_r_overlaps(tri):
+    # d_set's window [sigma*j*q, sigma*(j+1)*q), q = p^r, lists the overlaps
+    # k*(theta, sigma) for k in [j*q, (j+1)*q): exactly q of them.
+    ct, pd = cone_tables(tri), period_data(tri)
+    for p in (2, 3, 5):
+        for r in (0, 1):
+            q = p**r
+            for j in (1, 2, 3):
+                ov, _ = overlaps_and_gaps(ct, pd, pd.sigma * j * q, pd.sigma * (j + 1) * q)
+                assert ov == [(k * pd.theta, k * pd.sigma) for k in range(j * q, (j + 1) * q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized_triangles(), st.lists(st.integers(min_value=0, max_value=10**6),
+                                        min_size=1, max_size=4))
+def test_z_columns_w_exponent_is_never_negative(tri, levels):
+    # delta = ceil((alpha0 - n)*ubar) - ceil(alpha0*ubar) >= 0 for n >= 0,
+    # since ubar <= 0; the sweep and the search read z at levels n >= 0.
+    ctx = context_for(tri, RATIONALS)
+    for n in levels + list(range(2 * ctx.u + 1)):
+        for alpha0 in range(ctx.u):
+            delta = math.ceil((alpha0 - n) * tri.ubar) - math.ceil(alpha0 * tri.ubar)
+            assert delta >= 0
+            assert _z_columns(ctx, alpha0, n, 1, {})[0] == delta
 
 
 @settings(max_examples=40, deadline=None)
