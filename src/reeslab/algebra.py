@@ -63,9 +63,9 @@ block lands at or past l and is never multiplied.  Each block is one call
 of multiply's own rule (_multiply_rows), and invert_unit(e) is divide(1, e).
 c^-1 comes from FieldSpec.inv, so in characteristic 0 the quotient of int
 elements by a unit with c = +-1 is int, and any other c makes it rational.
-The factorization search divides out each chart unit this way; the
-geometric series c^-1 * sum g^k for the inverse of c(1 - g) lives in
-tests/oracles.py.
+divide is reached only through invert_unit: the factorization search reads
+its residual from a running product and divides nothing.  The geometric
+series c^-1 * sum g^k for the inverse of c(1 - g) lives in tests/oracles.py.
 
 subspace_decompose is the one two-cone reduction: it reduces the overlap
 differences z - x of a restriction window into the two chart ideals, all rows

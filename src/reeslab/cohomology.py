@@ -33,32 +33,36 @@ z-expansions come in column form, one binomial series per column (see
 algebra).
 
 The factorization search is one flat loop over one kind of stack entry: a
-level n, the units and residual it resumes from, and the chart terms to take
-there.  Each pop takes them and classifies level n + 1, then pushes one
-continuation or, at the level's one overlap (the only one the lattice law
-allows), its splits not yet tried; so no recursion limit caps m*u and a
-backtrack is one pop.  It builds xi^m once, in column form, and starts each
-z-expansion from its closed form (_z_rows_base).  At a level with chart
-terms it divides the residual unit by the chart units it picked, each in
-one ascending pass (algebra.divide); a chart without terms at the level
-divides and multiplies nothing.  In characteristic 0 every coefficient
-stays int: xi^m and the z-expansions are int, each unit's constant term 1
-inverts to the int 1 (see fields), and so the residual, the units and their
-product are int.
-Its certificate multiplies the units out by multiply, a route independent of
-the column form.
+level n, the chart units taken so far and their running product P = u_a*u_b,
+and the chart terms to take there.  Each pop multiplies P by the chart units
+it builds (a chart without terms at the level builds none) and classifies
+level n + 1, then pushes one continuation or, at the level's one overlap
+(the only one the lattice law allows), its splits not yet tried; so no
+recursion limit caps m*u and a backtrack is one pop.  It builds xi^m once,
+in column form, and starts each z-expansion from its closed form
+(_z_rows_base).  It divides nothing: after level n is taken, the residual
+unit rho = xi^m / P is 1 + R with R on levels >= n + 1 (a gap ends the
+branch, and every other term went into a chart unit), so xi^m = P*rho =
+P + R + R*(P - 1), and R*(P - 1) starts at level n + 2, as a product never
+lowers a level and P - 1 starts at level 1.  Hence rho_(n+1) = xi^m_(n+1) -
+P_(n+1), the row each pop reads.  So in characteristic 0 every coefficient
+stays int with no field inverse: xi^m and the z-expansions are int, and the
+search only multiplies and subtracts, so the rows it reads, P and the units
+are int.  u_a and u_b are kept as tuples of their chart units and
+multiplied out only on success, for the certificate: multiply checks them
+against xi^m, a route independent of the column form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .algebra import (
     AlgebraContext,
     AlgebraElement,
     _radd_row,
     _z_rows_base,
-    divide,
     multiply,
     one,
     subspace_decompose,
@@ -246,7 +250,7 @@ def factorization_search(
     finite grid (_coefficient_splits): the splits go on the stack last
     first, so the walk takes them in grid order.  A successful
     factorization is re-verified by multiplying its two units out against
-    the one xi^m the search reduced.
+    the one xi^m the search read its levels from.
     """
     if type(m) is not int or type(branch_budget) is not int:
         raise RangeError(_non_int_message(m=m, branch_budget=branch_budget))
@@ -258,11 +262,13 @@ def factorization_search(
     fld = ctx.field
     target = xi_power(ctx, l, m)
     branches, obstruction = 0, None
-    # An entry (n, u_a, u_b, rho, fa, fb, is_branch) takes the chart terms
-    # fa, fb at level n, then classifies level n + 1; is_branch marks a split.
-    stack = [(0, one(ctx, l), one(ctx, l), target, {}, {}, False)]
+    # An entry (n, units_a, units_b, prod, fa, fb, is_branch) takes the chart
+    # terms fa, fb at level n: their chart units join the tuples units_a and
+    # units_b and multiply into prod, the running product of all of them.  It
+    # then classifies level n + 1 of xi^m - prod; is_branch marks a split.
+    stack = [(0, (), (), one(ctx, l), {}, {}, False)]
     while stack:
-        n, u_a, u_b, rho, fa, fb, is_branch = stack.pop()
+        n, units_a, units_b, prod, fa, fb, is_branch = stack.pop()
         if is_branch:
             branches += 1
             if branches > branch_budget:
@@ -271,20 +277,19 @@ def factorization_search(
                     f"{branch_budget} branches")
         if fa:
             one_fa = AlgebraElement(ctx, l, {0: {0: 1}, n: fa})
-            rho, u_a = divide(rho, one_fa), multiply(u_a, one_fa)
+            prod, units_a = multiply(prod, one_fa), units_a + (one_fa,)
         if fb:
             fb_rows = {0: {0: 1}}
             for alpha, c in fb.items():
                 for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
                     _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
             one_fb = AlgebraElement(ctx, l, fb_rows)
-            rho, u_b = divide(rho, one_fb), multiply(u_b, one_fb)
+            prod, units_b = multiply(prod, one_fb), units_b + (one_fb,)
         n += 1
         if n == l:
-            if rho != one(ctx, l):
-                raise InconsistencyError(f"residual unit at level {l} is not 1")
             break
-        row = rho.rows.get(n, {})
+        row = dict(target.rows.get(n, {}))
+        _radd_row({n: row}, n, prod.rows.get(n, {}), -1, fld.characteristic)
         fa, fb, gap_terms, overlap = {}, {}, {}, None
         col_a = ct.min_pa_col(n)
         col_b = ct.max_pb_col(n)
@@ -307,17 +312,20 @@ def factorization_search(
         if gap_terms:
             obstruction = obstruction or (n, gap_terms)
         elif overlap is None:
-            stack.append((n, u_a, u_b, rho, fa, fb, False))
+            stack.append((n, units_a, units_b, prod, fa, fb, False))
         else:
             for ca, cb in reversed(_coefficient_splits(fld, row[overlap])):
-                stack.append((n, u_a, u_b, rho, {**fa, overlap: ca} if ca else fa,
+                stack.append((n, units_a, units_b, prod,
+                              {**fa, overlap: ca} if ca else fa,
                               {**fb, overlap: cb} if cb else fb, True))
     else:
         return FactorizationOutcome(
             success=False, m=m, level=l, obstruction=obstruction,
             branches_explored=branches,
         )
-    # The certificate: the units multiply back to the column-form xi^m.
+    # The certificate: the units, multiplied out, give the column-form xi^m.
+    u_a = reduce(multiply, units_a, one(ctx, l))
+    u_b = reduce(multiply, units_b, one(ctx, l))
     if multiply(u_a, u_b) != target:
         raise InconsistencyError("factorization certificate failed re-verification")
     for alpha, n in u_a.support():

@@ -22,6 +22,8 @@ from .errors import RangeError, _non_int_message
 
 def factorize_integer(n: int) -> dict[int, int]:
     """Prime factorization by trial division (independent of any library)."""
+    if type(n) is not int:
+        raise RangeError(_non_int_message(n=n))
     if n < 1:
         raise RangeError(f"expected a positive integer, got {n}")
     out: dict[int, int] = {}

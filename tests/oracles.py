@@ -17,8 +17,8 @@
   w-exponent, and it is the route xi_power took before that form.
 * series_inverse inverts a unit c(1 - g) as the geometric series
   c^-1 * sum g^k, through multiply.  It checks algebra.divide, the one-pass
-  division that algebra.invert_unit also runs, and keeps the product
-  routes above independent of it.
+  division that algebra.invert_unit and divided_factorization_search run,
+  and keeps the product routes above independent of it.
 * fold_z_state reaches the column coefficients c(alpha0, delta) by delta
   carry passes from c = (1) at delta = 0.  It checks the closed form
   c_i = C(delta + f_(i-1), i) that algebra._z_start starts from.
@@ -38,6 +38,12 @@ slope_laws derives the two count laws from the Fraction slopes sbar, tbar
 and ubar; it checks geometry.ConeTables, which reads the slope pairs
 normalize_triangle stores.
 
+divided_factorization_search is the unit-factorization search that carries
+the residual xi^m / (u_a * u_b) whole and divides it by every chart unit it
+takes.  It checks cohomology.factorization_search, which reads each level
+of the residual as xi^m - u_a * u_b from one running product and never
+divides.
+
 No module of reeslab uses these routes.
 """
 
@@ -56,13 +62,29 @@ from reeslab.algebra import (
     _series,
     _times_w_rows,
     _z_rows_base,
+    divide,
     multiply,
     one,
     x_basis,
+    xi_power,
 )
-from reeslab.errors import LevelError, NotAUnit, NotInF
+from reeslab.cohomology import DEFAULT_BRANCH_BUDGET, FactorizationOutcome, _coefficient_splits
+from reeslab.errors import (
+    BudgetExceeded,
+    ClaimViolation,
+    InconsistencyError,
+    LevelError,
+    NotAUnit,
+    NotInF,
+)
 from reeslab.fields import FieldSpec
-from reeslab.geometry import ConeTables, NormalizedTriangle, pa_member, pb_member
+from reeslab.geometry import (
+    ConeTables,
+    NormalizedTriangle,
+    PeriodData,
+    pa_member,
+    pb_member,
+)
 
 Rows = dict  # level -> {column -> coefficient}
 
@@ -420,3 +442,80 @@ def decompose_element(e: AlgebraElement, m: int, ct: ConeTables,
         ctx=ctx, level=l, m=m, overlap_policy=policy,
         a_part=a_part, b_part=b_part, gap_residual=gaps,
     )
+
+
+# ---------------------------------------------------------------------------
+# The factorization search that divides
+
+
+def divided_factorization_search(
+        ctx: AlgebraContext, ct: ConeTables, pd: PeriodData, m: int,
+        branch_budget: int = DEFAULT_BRANCH_BUDGET) -> FactorizationOutcome:
+    """cohomology.factorization_search as it ran before it kept a running
+    product: the residual rho = xi^m / (u_a * u_b) is carried whole, divided
+    by each chart unit taken (algebra.divide), and level n + 1 is read from
+    it.  The same stack walk, classification, split order, budget and
+    raises; at level m*u rho must be 1 before the certificate."""
+    l = m * ctx.u
+    fld = ctx.field
+    target = xi_power(ctx, l, m)
+    branches, obstruction = 0, None
+    stack = [(0, one(ctx, l), one(ctx, l), target, {}, {}, False)]
+    while stack:
+        n, u_a, u_b, rho, fa, fb, is_branch = stack.pop()
+        if is_branch:
+            branches += 1
+            if branches > branch_budget:
+                raise BudgetExceeded(
+                    f"factorization search for m={m} exceeded {branch_budget} branches")
+        if fa:
+            one_fa = AlgebraElement(ctx, l, {0: {0: 1}, n: fa})
+            rho, u_a = divide(rho, one_fa), multiply(u_a, one_fa)
+        if fb:
+            fb_rows = {0: {0: 1}}
+            for alpha, c in fb.items():
+                for zn, zrow in _z_rows_base(ctx, l, alpha, n).items():
+                    _radd_row(fb_rows, zn, zrow, c, fld.characteristic)
+            one_fb = AlgebraElement(ctx, l, fb_rows)
+            rho, u_b = divide(rho, one_fb), multiply(u_b, one_fb)
+        n += 1
+        if n == l:
+            if rho != one(ctx, l):
+                raise InconsistencyError(f"residual unit at level {l} is not 1")
+            break
+        row = rho.rows.get(n, {})
+        fa, fb, gap_terms, overlap = {}, {}, {}, None
+        col_a, col_b = ct.min_pa_col(n), ct.max_pb_col(n)
+        for alpha in sorted(row):
+            c = row[alpha]
+            in_a, in_b = alpha >= col_a, alpha <= col_b
+            if in_a and in_b:
+                if n % pd.sigma or alpha != (n // pd.sigma) * pd.theta:
+                    raise ClaimViolation(
+                        f"overlap at ({alpha}, {n}) off the ({pd.theta}, {pd.sigma}) lattice")
+                overlap = alpha
+            elif in_a:
+                fa[alpha] = c
+            elif in_b:
+                fb[alpha] = c
+            else:
+                gap_terms[(alpha, n)] = c
+        if gap_terms:
+            obstruction = obstruction or (n, gap_terms)
+        elif overlap is None:
+            stack.append((n, u_a, u_b, rho, fa, fb, False))
+        else:
+            for ca, cb in reversed(_coefficient_splits(fld, row[overlap])):
+                stack.append((n, u_a, u_b, rho, {**fa, overlap: ca} if ca else fa,
+                              {**fb, overlap: cb} if cb else fb, True))
+    else:
+        return FactorizationOutcome(success=False, m=m, level=l, obstruction=obstruction,
+                                    branches_explored=branches)
+    if multiply(u_a, u_b) != target:
+        raise InconsistencyError("factorization certificate failed re-verification")
+    for alpha, n in u_a.support():
+        if (alpha, n) != (0, 0) and not pa_member(ct, alpha, n):
+            raise InconsistencyError(
+                f"first-chart unit has support outside its cone at ({alpha}, {n})")
+    return FactorizationOutcome(success=True, m=m, level=l, unit_a=u_a, unit_b=u_b,
+                                branches_explored=branches)

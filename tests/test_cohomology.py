@@ -45,7 +45,7 @@ from reeslab.errors import (
     TheoremViolation,
     WidthError,
 )
-from reeslab.fields import RATIONALS, FieldSpec
+from reeslab.fields import RATIONALS, FieldSpec, factorize_integer
 from reeslab.geometry import (
     cone_tables,
     normalize_triangle,
@@ -57,6 +57,7 @@ from reeslab.geometry import (
 from oracles import (
     combine,
     decompose_element,
+    divided_factorization_search,
     fold_z_state,
     laurent_multiply,
     product_xi_power,
@@ -353,7 +354,8 @@ def test_entry_point_arguments_raise_input_errors():
     # levels, columns and seed positions of a window or truncation with
     # LevelError and the slope pair of a context with RangeError: a float
     # would raise a bare TypeError later or become a float key, and True
-    # would run as 1.
+    # would run as 1.  factorize_integer refuses the same way: 2.5 would
+    # come back as its own prime factor and True would factor as 1.
     for call, error, name, shown in (
             (lambda: factorization_search(ctx, ct, pd, 2.0), RangeError, "m", "2.0"),
             (lambda: factorization_search(ctx, ct, pd, True), RangeError, "m", "True"),
@@ -382,7 +384,10 @@ def test_entry_point_arguments_raise_input_errors():
             (lambda: SearchBounds(r_max=True), RangeError, "r_max", "True"),
             (lambda: SearchBounds(j_max=2.0), RangeError, "j_max", "2.0"),
             (lambda: SearchBounds(m_max=2.5), RangeError, "m_max", "2.5"),
-            (lambda: SearchBounds(branch_budget="5"), RangeError, "branch_budget", "'5'")):
+            (lambda: SearchBounds(branch_budget="5"), RangeError, "branch_budget", "'5'"),
+            (lambda: factorize_integer(2.5), RangeError, "n", "2.5"),
+            (lambda: factorize_integer(12.0), RangeError, "n", "12.0"),
+            (lambda: factorize_integer(True), RangeError, "n", "True")):
         with pytest.raises(error, match=f"^{name} must be an int, got {shown}$"):
             call()
     with pytest.raises(ContextError, match=r"\(2, 4\)"):    # no reduced slope
@@ -658,26 +663,26 @@ def test_factorization_backtracking_starts_each_expansion_at_its_delta(monkeypat
 
 def test_factorization_residual_stays_integral_over_q(monkeypatch):
     # xi^m and every z-expansion are integral and each chart unit has
-    # constant term 1, so in characteristic 0 every division leaves the
-    # residual in exact ints, not integral Fractions; so are the units and
-    # the certificate.
-    quotients: list = []
-    divide = cohomology.divide
+    # constant term 1, and the search only multiplies and subtracts, so in
+    # characteristic 0 every product it forms is in exact ints, not integral
+    # Fractions: the running product, the units multiplied out and the
+    # certificate.
+    products: list = []
+    product = cohomology.multiply
 
-    def recording_divide(a, b):
-        q = divide(a, b)
-        quotients.append({type(c) for row in q.rows.values() for c in row.values()})
-        return q
+    def recording_multiply(a, b):
+        e = product(a, b)
+        products.append({type(c) for row in e.rows.values() for c in row.values()})
+        return e
 
-    monkeypatch.setattr(cohomology, "divide", recording_divide)
+    monkeypatch.setattr(cohomology, "multiply", recording_multiply)
     tri = normalize_triangle([(F(-1, 3), F(2, 9)), (F(2, 3), F(-4, 9)), (0, 1)])
     ctx = context_for(tri, RATIONALS)
     out = factorization_search(ctx, cone_tables(tri), period_data(tri), 4)
     assert out.success and out.level == 12 and out.branches_explored == 0
-    assert quotients and all(types <= {int} for types in quotients)
-    product = multiply(out.unit_a, out.unit_b)
-    assert product == xi_power(ctx, 12, 4)
-    for e in (out.unit_a, out.unit_b, product):
+    assert products and all(types <= {int} for types in products)
+    assert multiply(out.unit_a, out.unit_b) == xi_power(ctx, 12, 4)
+    for e in (out.unit_a, out.unit_b):
         assert all(type(c) is int for row in e.rows.values() for c in row.values())
 
 
@@ -697,16 +702,20 @@ def test_factorization_builds_xi_once(monkeypatch):
 
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 3), (0, 1), (2, 6), (3, 6)])
 def test_factorization_never_divides_by_one(p, m, monkeypatch):
-    # A chart without terms at a level builds no chart unit, so no division
-    # is by 1; at m = 6 the searches meet levels with terms in one chart
-    # only.  (The first product into each start unit, which is 1, stays.)
-    divisors: list = []
-    divide = cohomology.divide
-    monkeypatch.setattr(cohomology, "divide", lambda a, b: divisors.append(b) or divide(a, b))
+    # The search divides by nothing: it reads each level from xi^m minus a
+    # running product.  A chart without terms at a level builds no chart
+    # unit, so no product is by 1; at m = 6 the searches meet levels with
+    # terms in one chart only.  (The first product into the running product
+    # and into each unit multiplied out, which start at 1, stays.)
+    assert not hasattr(cohomology, "divide")
+    factors: list = []
+    product = cohomology.multiply
+    monkeypatch.setattr(cohomology, "multiply",
+                        lambda a, b: factors.append(b) or product(a, b))
     ctx, ct, pd = worked(p)
     factorization_search(ctx, ct, pd, m)
     unit = one(ctx, m * ctx.u)
-    assert all(d != unit for d in divisors)
+    assert all(f != unit for f in factors)
 
 
 def test_factorization_rejects_a_perturbed_certificate(monkeypatch):
@@ -805,8 +814,9 @@ def assert_search_outcome(vertices, p, m, expected, units):
 
 
 def test_factorization_divides_without_a_series_inverse(monkeypatch):
-    # The search divides by each chart unit in one pass (algebra.divide) and
-    # never inverts one; its outcomes and units are those of the series route.
+    # The search reads each level from xi^m minus a running product of the
+    # chart units and never inverts one; its outcomes and units are those of
+    # the series route.
     def refuse(e):
         raise AssertionError("the factorization search inverted a unit")
 
@@ -819,6 +829,53 @@ def test_factorization_divides_without_a_series_inverse(monkeypatch):
 @pytest.mark.parametrize("vertices, p, m, expected, units", LARGE_TRUNCATION_OUTCOMES)
 def test_large_truncation_searches_match_their_golden_outcomes(vertices, p, m, expected, units):
     assert_search_outcome(vertices, p, m, expected, units)
+
+
+def search_result(search, ctx, ct, pd, m):
+    """The outcome dict and both units' dumps, or the error a search raised."""
+    try:
+        out = search(ctx, ct, pd, m, branch_budget=200)
+    except (BudgetExceeded, ClaimViolation) as err:
+        return type(err), str(err)
+    units = out.success and (algebra.dump_element(out.unit_a), algebra.dump_element(out.unit_b))
+    return out.to_dict(), units
+
+
+@st.composite
+def width_one_searches(draw):
+    """(width-1 triangle, char, m <= 6); x2 = 0 or -1 gives a vertical edge."""
+    u = draw(st.integers(min_value=1, max_value=5))
+    u2 = draw(st.integers(min_value=0, max_value=u))
+    if math.gcd(u2, u) != 1:
+        u, u2 = 1, 0
+    ubar = F(-u2, u)
+    x2 = -draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+    tri = normalize_triangle([(x2, ubar * x2), (x2 + 1, ubar * (x2 + 1)), (0, 1)])
+    return tri, draw(st.sampled_from([0, 2, 3, 5, 7])), draw(st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(width_one_searches())
+def test_factorization_matches_the_dividing_search(case):
+    # Reading level n + 1 as xi^m - P from the running product P = u_a * u_b
+    # gives the same walk as carrying the residual xi^m / P and dividing it
+    # by every chart unit: the same outcome, obstruction and branch count,
+    # the same units, and the same raise.
+    tri, p, m = case
+    args = (context_for(tri, FieldSpec(p)), cone_tables(tri), period_data(tri), m)
+    assert (search_result(factorization_search, *args)
+            == search_result(divided_factorization_search, *args))
+
+
+def test_factorization_fails_low_as_the_dividing_search_does():
+    # The worked example at char 7, m = 70 (truncation level 140) is
+    # obstructed at level 8 with no split (LARGE_TRUNCATION_OUTCOMES).  The
+    # dividing search divides the dense xi^70 over all 140 levels at each
+    # level it takes; the running product holds only the units taken.  Both
+    # give the same failure.
+    args = (*worked(7), 70)
+    assert search_result(factorization_search, *args) == search_result(
+        divided_factorization_search, *args)
 
 
 def a4_certificate_holds(ctx, ct, m, u_a, u_b):
@@ -835,8 +892,8 @@ def a4_certificate_holds(ctx, ct, m, u_a, u_b):
 @pytest.mark.parametrize("vertices, p, m", [
     (WORKED, 2, 2), (WORKED, 3, 3), (UNIT_RIGHT, 3, 4), (SLOPE_2_3, 0, 4)])
 def test_a4_units_pass_an_independent_check(vertices, p, m):
-    # The search checks u_a * u_b with the product rule its division runs,
-    # against the closed-form xi^m.  Here the product is formed in the
+    # The search checks u_a * u_b with the product rule its running product
+    # runs, against the closed-form xi^m.  Here the product is formed in the
     # Laurent model, xi^m by the product route, and chart membership is
     # decided position by position.  Bumping one term of u_a must fail it.
     tri = normalize_triangle(vertices)
